@@ -22,8 +22,8 @@ engine on the E11 whole-core workload, gated on **bit-identity**:
   is printed and recorded so regressions are attributable.  Carries the
   ``--require-full-eval-speedup`` gate.
 * **scheduled full-evaluation leg** (informational) -- the same
-  evaluation on the scheduled cone, where the native side lowers
-  :class:`ScheduledSimulator` onto the scheduled-cone interpreter and
+  evaluation on the scheduled cone, where the native side runs the
+  cached ``ScheduledProgram`` on the scheduled-cone interpreter and
   keeps the pipeline; the compiled scheduled path is already cheap, so
   this leg's speedup is structurally smaller.
 * **threads leg** -- the native kernel's in-kernel thread pool at 1 and

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = [
     "EngineError",
@@ -43,6 +43,7 @@ __all__ = [
     "degradation_ladder",
     "engines_info",
     "build_simulator",
+    "degradation",
 ]
 
 
@@ -199,6 +200,39 @@ def build_simulator(
             if on_degrade is not None:
                 on_degrade(info, ladder[i + 1], exc)
     raise EngineError(f"empty degradation ladder for {name!r}")
+
+
+#: What failed and what took over, per non-engine degradation kind.
+_FALLBACKS = {
+    "pipeline_python": ("in-kernel pipeline failed", "python extraction path"),
+    "scheduled_python": (
+        "native scheduled kernel unavailable",
+        "python scheduled path",
+    ),
+}
+
+
+def degradation(
+    kind: str, exc: BaseException, from_engine: Optional[str] = None
+) -> Dict[str, str]:
+    """The ``{"kind", "detail"}`` provenance entry of one degradation.
+
+    ``kind`` is ``engine_<name>`` for a rung down the engine ladder
+    (``from_engine`` names the engine that failed), or
+    ``pipeline_python`` / ``scheduled_python`` for the Python fallback
+    of the in-kernel pipeline and of the native scheduled interpreter.
+    Every fallback is bit-identical, which the detail says.
+    """
+    if from_engine is not None:
+        failed = f"{from_engine} engine unavailable"
+        fallback = f"{kind[len('engine_'):]} engine"
+    else:
+        failed, fallback = _FALLBACKS[kind]
+    return {
+        "kind": kind,
+        "detail": f"{failed} ({exc}); continuing on the bit-identical "
+        f"{fallback}",
+    }
 
 
 # --------------------------------------------------------------- factories

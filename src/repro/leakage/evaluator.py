@@ -72,6 +72,104 @@ def _mix_hash(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _observation_layout(
+    probe_class: ProbeClass, cycle: int
+) -> Tuple[Tuple[int, int, int], ...]:
+    """``(cycle - back, net, position)`` of each bit of one observation.
+
+    The one bit layout of a tuple observation key: positions count
+    ``for back in cycles_back: for net in support``.  The Python key
+    extraction (:func:`_observation_keys`) and the in-kernel count
+    specs (:func:`_count_specs`) both follow it, which is what makes
+    the two paths' tables identical.
+    """
+    return tuple(
+        (cycle - back, net, position)
+        for position, (back, net) in enumerate(
+            itertools.product(probe_class.cycles_back, probe_class.support)
+        )
+    )
+
+
+def _hashed(observation_bits: int, hash_bits: int) -> bool:
+    """Whether keys this wide are bucketed down to ``hash_bits`` bits."""
+    return observation_bits > hash_bits
+
+
+def _bucket_keys(
+    keys: np.ndarray, observation_bits: int, hash_bits: int
+) -> np.ndarray:
+    """Bucket ``observation_bits``-wide keys into ``2**hash_bits`` cells."""
+    if _hashed(observation_bits, hash_bits):
+        return _mix_hash(keys) >> np.uint64(64 - hash_bits)
+    return keys
+
+
+def _count_specs(windows, hash_bits: int):
+    """One in-kernel CountSpec per ``(probe_class, cycles)`` test.
+
+    Each observation cycle becomes one segment of the test's count table
+    (the histogram of a concatenation is the sum of per-segment
+    histograms); bits follow :func:`_observation_layout` and hashing
+    :func:`_bucket_keys`.
+    """
+    from repro.netlist.native import CountSpec
+
+    specs = []
+    for probe_class, cycles in windows:
+        width = probe_class.observation_bits
+        hashed = _hashed(width, hash_bits)
+        specs.append(
+            CountSpec(
+                tuple(_observation_layout(probe_class, t) for t in cycles),
+                hashed,
+                1 << (hash_bits if hashed else width),
+            )
+        )
+    return specs
+
+
+def _lane_bits(
+    trace: Trace,
+    cycle: int,
+    net: int,
+    bit_cache: Optional[Dict[Tuple[int, int], np.ndarray]],
+) -> np.ndarray:
+    """Per-lane bits of ``net`` at ``cycle``, widened to uint64.
+
+    ``bit_cache`` (keyed by ``(cycle, net)``) shares them across every
+    probe class that observes the net -- probe supports overlap heavily,
+    so each recorded net is unpacked once per trace instead of once per
+    class.
+    """
+    wide = None if bit_cache is None else bit_cache.get((cycle, net))
+    if wide is None:
+        wide = unpack_lanes(
+            trace.words(cycle, net), trace.n_lanes
+        ).astype(np.uint64)
+        if bit_cache is not None:
+            bit_cache[(cycle, net)] = wide
+    return wide
+
+
+def _observation_keys(
+    trace: Trace,
+    probe_class: ProbeClass,
+    cycles: Sequence[int],
+    bit_cache: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
+) -> np.ndarray:
+    """Unbucketed tuple keys per lane, one segment per observation cycle."""
+    segments = []
+    for t in cycles:
+        key = np.zeros(trace.n_lanes, dtype=np.uint64)
+        for cycle, net, position in _observation_layout(probe_class, t):
+            key |= _lane_bits(trace, cycle, net, bit_cache) << np.uint64(
+                position
+            )
+        segments.append(key)
+    return np.concatenate(segments)
+
+
 class HistogramAccumulator:
     """Incrementally accumulated fixed/random contingency tables.
 
@@ -345,14 +443,9 @@ class LeakageEvaluator:
         """Record one rung of the engine degradation ladder permanently."""
         self.engine = to_info.name
         self.degradations.append(
-            {
-                "kind": f"engine_{to_info.name}",
-                "detail": (
-                    f"{from_info.name} engine unavailable ({exc}); "
-                    f"continuing on the bit-identical {to_info.name} "
-                    "engine"
-                ),
-            }
+            engine_registry.degradation(
+                f"engine_{to_info.name}", exc, from_info.name
+            )
         )
         warnings.warn(
             f"{from_info.name} simulation engine failed ({exc}); "
@@ -488,45 +581,26 @@ class LeakageEvaluator:
     ) -> np.ndarray:
         """Integer-encode the probe observation per lane per window.
 
-        ``bit_cache`` (keyed by ``(cycle, net)``) shares the unpacked,
-        uint64-widened per-lane bits of a stable net across every probe
-        class that observes it -- probe supports overlap heavily, so batched
-        evaluation unpacks each recorded net once per block instead of once
-        per class.
+        Tuple observations pack the bits of :func:`_observation_layout`;
+        Hamming observations sum them.  ``bit_cache`` is shared as in
+        :func:`_lane_bits`.
         """
-        n_lanes = trace.n_lanes
-        hamming = self.observation == "hamming"
+        if self.observation != "hamming":
+            return _observation_keys(
+                trace, probe_class, eval_cycles, bit_cache
+            )
         keys_per_window = []
         for t in eval_cycles:
-            key = np.zeros(n_lanes, dtype=np.uint64)
-            position = 0
-            for back in probe_class.cycles_back:
-                cycle = t - back
-                for net in probe_class.support:
-                    wide = (
-                        None if bit_cache is None
-                        else bit_cache.get((cycle, net))
-                    )
-                    if wide is None:
-                        wide = unpack_lanes(
-                            trace.words(cycle, net), n_lanes
-                        ).astype(np.uint64)
-                        if bit_cache is not None:
-                            bit_cache[(cycle, net)] = wide
-                    if hamming:
-                        key += wide
-                    else:
-                        key |= wide << np.uint64(position)
-                        position += 1
+            key = np.zeros(trace.n_lanes, dtype=np.uint64)
+            for cycle, net, _ in _observation_layout(probe_class, t):
+                key += _lane_bits(trace, cycle, net, bit_cache)
             keys_per_window.append(key)
         return np.concatenate(keys_per_window)
 
     def _bucket(self, keys: np.ndarray, observation_bits: int) -> np.ndarray:
         if self.observation == "hamming":
             return keys  # at most observation_bits + 1 categories
-        if observation_bits > self.hash_bits:
-            return _mix_hash(keys) >> np.uint64(64 - self.hash_bits)
-        return keys
+        return _bucket_keys(keys, observation_bits, self.hash_bits)
 
     # --------------------------------------------------- unified entry point
 
@@ -693,8 +767,9 @@ class LeakageEvaluator:
             if use_pipeline:
                 try:
                     if pipeline_tests is None:
-                        pipeline_tests = self._count_specs(
-                            classes, eval_cycles
+                        pipeline_tests = _count_specs(
+                            [(pc, eval_cycles) for pc in classes],
+                            self.hash_bits,
                         )
                     self._pipeline_block(
                         acc, fixed_secret, lane_count, block, n_cycles,
@@ -704,14 +779,7 @@ class LeakageEvaluator:
                     continue
                 except SimulationError as exc:
                     self.degradations.append(
-                        {
-                            "kind": "pipeline_python",
-                            "detail": (
-                                f"in-kernel pipeline failed ({exc}); "
-                                "continuing on the bit-identical python "
-                                "extraction path"
-                            ),
-                        }
+                        engine_registry.degradation("pipeline_python", exc)
                     )
                     use_pipeline = False
             t0 = perf_counter()
@@ -797,37 +865,6 @@ class LeakageEvaluator:
         except ImportError:
             return False
         return pipeline_available()
-
-    def _count_specs(self, classes, eval_cycles):
-        """One in-kernel CountSpec per probe class.
-
-        Bit positions follow :meth:`_raw_keys` exactly (``for back in
-        cycles_back: for net in support``); observation windows become
-        segments of one count table (the histogram of a concatenation is
-        the sum of per-window histograms); hashing mirrors
-        :meth:`_bucket`'s ``observation_bits > hash_bits`` rule.
-        """
-        from repro.netlist.native import CountSpec
-
-        specs = []
-        for probe_class in classes:
-            segments = []
-            for t in eval_cycles:
-                bits = []
-                position = 0
-                for back in probe_class.cycles_back:
-                    for net in probe_class.support:
-                        bits.append((t - back, net, position))
-                        position += 1
-                segments.append(tuple(bits))
-            hashed = probe_class.observation_bits > self.hash_bits
-            key_bits = (
-                self.hash_bits if hashed else probe_class.observation_bits
-            )
-            specs.append(
-                CountSpec(tuple(segments), hashed, 1 << key_bits)
-            )
-        return specs
 
     def _pipeline_block(
         self,

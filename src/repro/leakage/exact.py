@@ -292,14 +292,9 @@ class ExactAnalyzer:
         """Record one engine degradation rung permanently (provenance)."""
         self.engine = to_info.name
         self.degradations.append(
-            {
-                "kind": f"engine_{to_info.name}",
-                "detail": (
-                    f"{from_info.name} engine unavailable ({exc}); "
-                    f"continuing on the bit-identical {to_info.name} "
-                    "engine"
-                ),
-            }
+            engine_registry.degradation(
+                f"engine_{to_info.name}", exc, from_info.name
+            )
         )
 
     # ------------------------------------------------------------- role map

@@ -28,17 +28,21 @@ import numpy as np
 
 from repro import engines as engine_registry
 from repro.errors import SimulationError
-from repro.leakage.evaluator import _mix_hash
+from repro.leakage.evaluator import (
+    _bucket_keys,
+    _count_specs,
+    _observation_keys,
+)
 from repro.leakage.gtest import (
     DEFAULT_THRESHOLD,
     g_test_batch,
     g_test_counts_batch,
 )
 from repro.leakage.model import ProbingModel
-from repro.leakage.probes import ProbeClass, extract_probe_classes
+from repro.leakage.probes import extract_probe_classes
 from repro.leakage.report import LeakageReport, ProbeResult
 from repro.netlist.core import Netlist
-from repro.netlist.simulate import Trace, unpack_lanes
+from repro.netlist.simulate import Trace
 
 Stimulus = Callable[[int], Dict[int, np.ndarray]]
 
@@ -104,14 +108,9 @@ class PeriodicLeakageEvaluator:
         """Record one engine degradation rung permanently (provenance)."""
         self.engine = to_info.name
         self.degradations.append(
-            {
-                "kind": f"engine_{to_info.name}",
-                "detail": (
-                    f"{from_info.name} engine unavailable ({exc}); "
-                    f"continuing on the bit-identical {to_info.name} "
-                    "engine"
-                ),
-            }
+            engine_registry.degradation(
+                f"engine_{to_info.name}", exc, from_info.name
+            )
         )
 
     def evaluate(
@@ -132,15 +131,18 @@ class PeriodicLeakageEvaluator:
         cycle offsets within a period (e.g. the cycles during which a
         particular pipeline stage processes round-1 data).
         """
-        max_back = max(self.model.cycles_back)
-        observe_cycles: List[int] = []
-        record: set = set()
-        for period_index in range(warmup_periods, warmup_periods + n_periods):
-            for phase in phases:
-                t = period_index * self.period + phase
-                observe_cycles.append(t)
-                for back in self.model.cycles_back:
-                    record.add(t - back)
+
+        def period_cycles(phase: int) -> List[int]:
+            """Observed cycles of one phase, one per evaluated period."""
+            return [
+                (warmup_periods + k) * self.period + phase
+                for k in range(n_periods)
+            ]
+
+        observe_cycles = [t for phase in phases for t in period_cycles(phase)]
+        record = {
+            t - back for t in observe_cycles for back in self.model.cycles_back
+        }
         n_cycles = max(observe_cycles) + 1
 
         keep_nets = None
@@ -172,8 +174,8 @@ class PeriodicLeakageEvaluator:
             and self._plan_ready(stimulus_random)
         )
         traces: List[Trace] = []
-        pipeline_sim = None
-        pipeline_scheduled = False
+        #: (plan, tests) -> (counts, timings): the whole block in C.
+        pipeline = None
         if keep_nets is not None and self.control_schedule is not None:
             from repro.netlist.slice import ScheduledSimulator
 
@@ -181,8 +183,11 @@ class PeriodicLeakageEvaluator:
                 net: [bits[t % self.period] for t in range(n_cycles)]
                 for net, bits in self.control_schedule.items()
             }
-            # run() is stateless, so one compiled schedule serves both
-            # stimulus streams.
+            # run() is stateless, so one simulator serves both stimulus
+            # streams; both executors read the same cached
+            # ScheduledProgram.
+            args = (self.netlist, n_lanes, keep_nets, record, n_cycles,
+                    schedule)
             simulator = None
             sched_engine = "python"
             if self.engine == "native":
@@ -191,30 +196,20 @@ class PeriodicLeakageEvaluator:
                         NativeScheduledSimulator,
                     )
 
-                    simulator = NativeScheduledSimulator(
-                        self.netlist, n_lanes, keep_nets,
-                        record, n_cycles, schedule,
-                    )
+                    simulator = NativeScheduledSimulator(*args)
                     sched_engine = "native"
                 except (ImportError, SimulationError) as exc:
                     self.degradations.append(
-                        {
-                            "kind": "scheduled_python",
-                            "detail": (
-                                f"native scheduled kernel unavailable "
-                                f"({exc}); continuing on the "
-                                "bit-identical python scheduled path"
-                            ),
-                        }
+                        engine_registry.degradation("scheduled_python", exc)
                     )
             if simulator is None:
-                simulator = ScheduledSimulator(
-                    self.netlist, n_lanes, keep_nets,
-                    record, n_cycles, schedule,
-                )
+                simulator = ScheduledSimulator(*args)
             if sched_engine == "native" and pipeline_ready:
-                pipeline_sim = simulator
-                pipeline_scheduled = True
+
+                def pipeline(plan, tests):
+                    return simulator.run_pipeline(
+                        plan, record_nets, tests, self.hash_bits
+                    )
 
             def trace_runner(stimulus):
                 return simulator.run(stimulus)
@@ -237,7 +232,12 @@ class PeriodicLeakageEvaluator:
                 and pipeline_ready
                 and hasattr(simulator, "run_pipeline")
             ):
-                pipeline_sim = simulator
+
+                def pipeline(plan, tests):
+                    return simulator.run_pipeline(
+                        plan, n_cycles, record_nets, record,
+                        tests, self.hash_bits,
+                    )
 
             def trace_runner(stimulus):
                 return simulator.run(
@@ -273,20 +273,18 @@ class PeriodicLeakageEvaluator:
         ]
 
         outcomes = None
-        if pipeline_sim is not None:
+        if pipeline is not None:
             try:
-                tests = self._count_specs(labels, warmup_periods, n_periods)
+                tests = _count_specs(
+                    [
+                        (probe_class, period_cycles(phase))
+                        for probe_class, phase in labels
+                    ],
+                    self.hash_bits,
+                )
                 group_counts = []
                 for plan in (stimulus_fixed, stimulus_random):
-                    if pipeline_scheduled:
-                        counts, timings = pipeline_sim.run_pipeline(
-                            plan, record_nets, tests, self.hash_bits
-                        )
-                    else:
-                        counts, timings = pipeline_sim.run_pipeline(
-                            plan, n_cycles, record_nets, record,
-                            tests, self.hash_bits,
-                        )
+                    counts, timings = pipeline(plan, tests)
                     group_counts.append(counts)
                     for name, seconds in timings.items():
                         stage[name] += seconds
@@ -298,14 +296,7 @@ class PeriodicLeakageEvaluator:
                 self.last_slice_info["pipeline"] = True
             except SimulationError as exc:
                 self.degradations.append(
-                    {
-                        "kind": "pipeline_python",
-                        "detail": (
-                            f"in-kernel pipeline failed ({exc}); "
-                            "continuing on the bit-identical python "
-                            "extraction path"
-                        ),
-                    }
+                    engine_registry.degradation("pipeline_python", exc)
                 )
                 outcomes = None
 
@@ -328,20 +319,20 @@ class PeriodicLeakageEvaluator:
                 # tests at thousands of lanes would otherwise pin
                 # 100s of MB).
                 for probe_class, phase in labels:
-                    cycles = [
-                        (warmup_periods + k) * self.period + phase
-                        for k in range(n_periods)
-                    ]
+                    cycles = period_cycles(phase)
                     t0 = perf_counter()
-                    pair = (
-                        self._keys(
-                            trace_fixed, probe_class, cycles,
-                            bit_cache_fixed,
-                        ),
-                        self._keys(
-                            trace_random, probe_class, cycles,
-                            bit_cache_random,
-                        ),
+                    pair = tuple(
+                        _bucket_keys(
+                            _observation_keys(
+                                trace, probe_class, cycles, bits
+                            ),
+                            probe_class.observation_bits,
+                            self.hash_bits,
+                        )
+                        for trace, bits in (
+                            (trace_fixed, bit_cache_fixed),
+                            (trace_random, bit_cache_random),
+                        )
                     )
                     stage["extract"] += perf_counter() - t0
                     yield pair
@@ -387,64 +378,3 @@ class PeriodicLeakageEvaluator:
         except Exception:
             return False
         return True
-
-    def _count_specs(self, labels, warmup_periods: int, n_periods: int):
-        """One CountSpec per (probe class, phase) test.
-
-        Bit positions follow :meth:`_keys` exactly (``for back in
-        cycles_back: for net in support``), periods become segments of
-        the same count table (the histogram of a concatenation is the
-        sum of per-segment histograms), and hashing mirrors the
-        ``observation_bits > hash_bits`` rule.
-        """
-        from repro.netlist.native import CountSpec
-
-        specs = []
-        for probe_class, phase in labels:
-            segments = []
-            for k in range(n_periods):
-                t = (warmup_periods + k) * self.period + phase
-                bits = []
-                position = 0
-                for back in probe_class.cycles_back:
-                    for net in probe_class.support:
-                        bits.append((t - back, net, position))
-                        position += 1
-                segments.append(tuple(bits))
-            hashed = probe_class.observation_bits > self.hash_bits
-            key_bits = (
-                self.hash_bits if hashed else probe_class.observation_bits
-            )
-            specs.append(
-                CountSpec(tuple(segments), hashed, 1 << key_bits)
-            )
-        return specs
-
-    def _keys(
-        self,
-        trace: Trace,
-        probe_class: ProbeClass,
-        cycles: List[int],
-        bit_cache: Optional[Dict] = None,
-    ) -> np.ndarray:
-        if bit_cache is None:
-            bit_cache = {}
-        segments = []
-        for t in cycles:
-            key = np.zeros(trace.n_lanes, dtype=np.uint64)
-            position = 0
-            for back in probe_class.cycles_back:
-                for net in probe_class.support:
-                    bits = bit_cache.get((t - back, net))
-                    if bits is None:
-                        bits = unpack_lanes(
-                            trace.words(t - back, net), trace.n_lanes
-                        ).astype(np.uint64)
-                        bit_cache[(t - back, net)] = bits
-                    key |= bits << np.uint64(position)
-                    position += 1
-            segments.append(key)
-        keys = np.concatenate(segments)
-        if probe_class.observation_bits > self.hash_bits:
-            keys = _mix_hash(keys) >> np.uint64(64 - self.hash_bits)
-        return keys

@@ -33,9 +33,11 @@ from repro.netlist.native import (
     native_unavailable_reason,
 )
 from repro.netlist.slice import (
+    ScheduledProgram,
     ScheduledSimulator,
     SliceStats,
     scheduled_cone,
+    scheduled_program,
     sequential_cone,
     slice_key,
     slice_program,
@@ -70,9 +72,11 @@ __all__ = [
     "netlist_content_hash",
     "program_cache_info",
     "set_program_cache_capacity",
+    "ScheduledProgram",
     "ScheduledSimulator",
     "SliceStats",
     "scheduled_cone",
+    "scheduled_program",
     "sequential_cone",
     "slice_key",
     "slice_program",

@@ -42,8 +42,10 @@ from repro.netlist.simulate import Stimulus, Trace, words_for_lanes
 from repro.netlist.topo import levelize
 
 #: Compiled programs kept per process, keyed by netlist content hash (full
-#: programs) or by slice key (cone slices; see :mod:`repro.netlist.slice`).
-_PROGRAM_CACHE: "OrderedDict[str, GateProgram]" = OrderedDict()
+#: programs), by slice key (cone slices) or by scheduled-cone key
+#: (:class:`~repro.netlist.slice.ScheduledProgram`; see
+#: :mod:`repro.netlist.slice`).
+_PROGRAM_CACHE: "OrderedDict[str, object]" = OrderedDict()
 
 #: Cache capacity; evaluation flows touch a handful of netlists per process.
 _PROGRAM_CACHE_SIZE = 64

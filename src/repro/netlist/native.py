@@ -783,20 +783,6 @@ def build_kernel(
 
 # ------------------------------------------------------ pipeline kernel
 
-#: CellType -> opcode of the generic scheduled-cone interpreter.
-_CELL_CODE = {
-    CellType.BUF: 0,
-    CellType.NOT: 1,
-    CellType.AND: 2,
-    CellType.NAND: 3,
-    CellType.OR: 4,
-    CellType.NOR: 5,
-    CellType.XOR: 6,
-    CellType.XNOR: 7,
-    CellType.MUX: 8,
-}
-
-
 def _pipeline_source() -> str:
     """C source of the netlist-independent pipeline-support kernel.
 
@@ -821,8 +807,9 @@ def _pipeline_source() -> str:
         counted.  Threaded over tests (disjoint count rows).
 
     ``repro_sched_run``
-        Data-driven interpreter for per-cycle scheduled cones
-        (:class:`repro.netlist.slice.ScheduledSimulator` semantics:
+        Data-driven interpreter of a
+        :class:`repro.netlist.slice.ScheduledProgram` (the semantics of
+        :class:`~repro.netlist.slice.ScheduledSimulator`:
         validate scheduled nets against their declared constants, drive
         needed inputs, restore registers, run the level-major active
         ops, record roots, capture next-cycle registers), tiled and
@@ -1612,6 +1599,63 @@ def _extract_counts(
     ]
 
 
+def _trace(n_lanes: int, record_list: "list[int]", rec, rec_slot) -> Trace:
+    """Trace over a kernel's raw ``(rec, rec_slot)`` output.
+
+    Trace rows are views into ``rec`` -- it is owned solely by the call
+    that wrote it, so no copy is needed and the views keep it alive.
+    """
+    trace = Trace(n_lanes, record_list)
+    trace.values.extend(
+        {} if slot < 0 else dict(zip(record_list, rec[slot]))
+        for slot in rec_slot.tolist()
+    )
+    return trace
+
+
+def _run_pipeline(
+    sim, kernel, plan, slot_of_net, n_slots, n_cycles, record_list,
+    simulate, tests, hash_bits,
+) -> Tuple["list[np.ndarray]", "dict"]:
+    """Stimulus, simulate, extract: one block in C for either simulator.
+
+    ``simulate(stim)`` runs the simulator's kernel on the dense stimulus
+    and returns its raw ``(rec, rec_slot)`` pair.
+    """
+    from time import perf_counter
+
+    if plan.n_words != sim.n_words:
+        raise SimulationError(
+            f"stimulus plan is {plan.n_words} words wide, "
+            f"simulator needs {sim.n_words}"
+        )
+    t0 = perf_counter()
+    stim = _stimgen_dense(
+        kernel, plan, slot_of_net, n_slots, n_cycles, sim.n_words
+    )
+    t1 = perf_counter()
+    rec, rec_slot = simulate(stim)
+    t2 = perf_counter()
+    counts = _extract_counts(
+        kernel,
+        rec,
+        rec_slot,
+        {net: i for i, net in enumerate(record_list)},
+        len(record_list),
+        sim.n_lanes,
+        sim.n_words,
+        tests,
+        hash_bits,
+        sim.n_threads,
+    )
+    timings = {
+        "stimulus": t1 - t0,
+        "simulate": t2 - t1,
+        "extract": perf_counter() - t2,
+    }
+    return counts, timings
+
+
 # --------------------------------------------------------------- simulator
 
 
@@ -1758,18 +1802,7 @@ class NativeSimulator:
         rec, rec_slot = self._run_dense(
             stim, n_cycles, record_list, cycle_filter
         )
-
-        # Trace rows are views into the freshly-written rec buffer -- it
-        # is owned solely by this call, so no copy is needed and the
-        # views keep it alive.
-        values = trace.values
-        for cycle in range(n_cycles):
-            slot = int(rec_slot[cycle])
-            if slot < 0:
-                values.append({})
-            else:
-                values.append(dict(zip(record_list, rec[slot])))
-        return trace
+        return _trace(self.n_lanes, record_list, rec, rec_slot)
 
     def _run_dense(
         self,
@@ -1851,8 +1884,6 @@ class NativeSimulator:
         ``numpy.bincount`` of the Python path's observation keys for the
         same seed -- see ``tests/test_native_pipeline.py``.
         """
-        from time import perf_counter
-
         kernel = build_pipeline_kernel()
         record_list = list(record_nets)
         program = self.program
@@ -1863,49 +1894,21 @@ class NativeSimulator:
                     f"stimulus plan does not drive primary input "
                     f"{self.netlist.net_name(pi)!r}"
                 )
-        if plan.n_words != self.n_words:
-            raise SimulationError(
-                f"stimulus plan is {plan.n_words} words wide, "
-                f"simulator needs {self.n_words}"
-            )
-        slot_of_net = {
-            net: slot for slot, net in enumerate(program.input_nets)
-        }
-        t0 = perf_counter()
-        stim = _stimgen_dense(
+        cycle_filter = set(record_cycles)
+        return _run_pipeline(
+            self,
             kernel,
             plan,
-            slot_of_net,
+            {net: slot for slot, net in enumerate(program.input_nets)},
             len(program.input_nets),
             n_cycles,
-            self.n_words,
-        )
-        t1 = perf_counter()
-        cycle_filter = set(record_cycles)
-        rec, rec_slot = self._run_dense(
-            stim, n_cycles, record_list, cycle_filter
-        )
-        t2 = perf_counter()
-        record_index = {net: i for i, net in enumerate(record_list)}
-        counts = _extract_counts(
-            kernel,
-            rec,
-            rec_slot,
-            record_index,
-            len(record_list),
-            self.n_lanes,
-            self.n_words,
+            record_list,
+            lambda stim: self._run_dense(
+                stim, n_cycles, record_list, cycle_filter
+            ),
             tests,
             hash_bits,
-            self.n_threads,
         )
-        t3 = perf_counter()
-        timings = {
-            "stimulus": t1 - t0,
-            "simulate": t2 - t1,
-            "extract": t3 - t2,
-        }
-        return counts, timings
 
     def _expand_cycle(
         self, provided: dict, cycle: int, stim: np.ndarray
@@ -1933,19 +1936,26 @@ class NativeSimulator:
             stim[cycle, slot] = words
 
 
+#: ScheduledProgram arrays in ``repro_sched_run``'s argument order.
+_SCHED_ARRAYS = (
+    "in_off", "in_slot", "in_net", "chk_off", "chk_slot", "chk_bit",
+    "rd_off", "rd_net", "rd_reg", "cap_off", "cap_net", "cap_reg",
+    "op_off", "op_code", "op_out", "op_a", "op_b", "op_c", "const1",
+)
+
+
 class NativeScheduledSimulator:
     """Scheduled-cone simulation on the generic native interpreter.
 
-    Wraps :class:`repro.netlist.slice.ScheduledSimulator` construction
-    (cone computation, per-cycle dispatch compilation, schedule
-    validation rules) and lowers its per-cycle structures onto the
-    ``repro_sched_run`` entry point of the pipeline kernel: flat gate-op
-    arrays with per-cycle offsets interpreted in C, tiled and threaded
-    over word columns.  ``run`` has the exact contract of the wrapped
-    simulator -- same errors for non-root records, missing inputs, and
-    schedule mismatches; bit-identical traces.  ``run_pipeline`` adds
-    the in-kernel stimulus/extract/histogram stages of
-    :meth:`NativeSimulator.run_pipeline`.
+    Executes the same cached :class:`repro.netlist.slice.ScheduledProgram`
+    as :class:`repro.netlist.slice.ScheduledSimulator`: its flat,
+    offset-indexed arrays go straight to the ``repro_sched_run`` entry
+    point of the pipeline kernel, interpreted in C, tiled and threaded
+    over word columns.  ``run`` has the exact contract of the numpy
+    executor -- the program raises the same errors for non-root records,
+    missing inputs and schedule mismatches; traces are bit-identical.
+    ``run_pipeline`` adds the in-kernel stimulus/extract/histogram stages
+    of :meth:`NativeSimulator.run_pipeline`.
 
     Construction raises :class:`~repro.errors.SimulationError` when the
     pipeline kernel is unavailable; callers fall back to the Python
@@ -1962,165 +1972,54 @@ class NativeScheduledSimulator:
         schedule,
         n_threads: Optional[int] = None,
     ):
-        from repro.netlist.slice import ScheduledSimulator
+        from repro.netlist.slice import scheduled_program
 
+        if n_lanes <= 0:
+            raise SimulationError("n_lanes must be positive")
         self._kernel = build_pipeline_kernel()
-        sched = ScheduledSimulator(
-            netlist, n_lanes, roots, record_cycles, n_cycles, schedule
+        self.program = scheduled_program(
+            netlist, roots, record_cycles, n_cycles, schedule
         )
-        self._sched = sched
         self.netlist = netlist
         self.n_lanes = n_lanes
-        self.n_words = sched.n_words
+        self.n_words = words_for_lanes(n_lanes)
         self.n_cycles = n_cycles
-        self.roots = sched.roots
-        self.record_cycles = sched.record_cycles
+        self.roots = list(self.program.roots)
+        self.record_cycles = list(self.program.record_cycles)
         self.n_threads = (
             native_default_threads(self.n_words)
             if n_threads is None
             else max(1, min(int(n_threads), _MAX_THREADS))
         )
-
-        sched_nets = sorted(sched._schedule)
-        union = sorted(
-            set(net for per in sched._cycle_inputs for net in per)
-            | set(sched_nets)
-        )
-        self._slot_of_net = {net: i for i, net in enumerate(union)}
-        self._stim_nets = union
-        self.n_slots = len(union)
-
-        def flatten(per_cycle_pairs):
-            off = np.zeros(n_cycles + 1, dtype=np.int64)
-            first: List[int] = []
-            second: List[int] = []
-            for t, (a, b) in enumerate(per_cycle_pairs):
-                first.extend(int(x) for x in a)
-                second.extend(int(x) for x in b)
-                off[t + 1] = len(first)
-            return (
-                off,
-                np.asarray(first if first else [0], dtype=np.int64),
-                np.asarray(second if second else [0], dtype=np.int64),
-            )
-
-        self._in_off, self._in_slot, self._in_net = flatten(
-            (
-                [self._slot_of_net[net] for net in per],
-                list(per),
-            )
-            for per in sched._cycle_inputs
-        )
-        self._rd_off, self._rd_net, self._rd_reg = flatten(
-            sched._cycle_reads
-        )
-        self._cap_off, self._cap_net, self._cap_reg = flatten(
-            sched._cycle_captures
-        )
-
-        # Schedule validation: every scheduled net, every cycle (the
-        # python path checks them all each cycle regardless of need).
-        n_sched = len(sched_nets)
-        self._chk_off = np.arange(
-            0, (n_cycles + 1) * n_sched, max(n_sched, 1), dtype=np.int64
-        )
-        if n_sched == 0:
-            self._chk_off = np.zeros(n_cycles + 1, dtype=np.int64)
-        chk_slot = np.asarray(
-            [self._slot_of_net[net] for net in sched_nets] * n_cycles
-            if n_sched
-            else [0],
-            dtype=np.int64,
-        )
-        chk_bit = np.asarray(
-            [
-                1 if sched._schedule[net][t] else 0
-                for t in range(n_cycles)
-                for net in sched_nets
-            ]
-            if n_sched
-            else [0],
-            dtype=np.uint8,
-        )
-        self._chk_slot, self._chk_bit = chk_slot, chk_bit
-        self._sched_nets = sched_nets
-
-        op_off = np.zeros(n_cycles + 1, dtype=np.int64)
-        op_code: List[int] = []
-        op_out: List[int] = []
-        op_a: List[int] = []
-        op_b: List[int] = []
-        op_c: List[int] = []
-        for t in range(n_cycles):
-            for op in sched._cycle_ops[t]:
-                code = _CELL_CODE.get(op.cell_type)
-                if code is None:  # pragma: no cover - never dispatched
-                    raise SimulationError(
-                        f"cell type {op.cell_type} has no native lowering"
-                    )
-                n = int(op.out.size)
-                op_code.extend([code] * n)
-                op_out.extend(int(x) for x in op.out)
-                op_a.extend(int(x) for x in op.in0)
-                op_b.extend(
-                    (int(x) for x in op.in1) if op.in1.size else [0] * n
-                )
-                op_c.extend(
-                    (int(x) for x in op.in2) if op.in2.size else [0] * n
-                )
-            op_off[t + 1] = len(op_code)
-        self._op_off = op_off
-        self._op_code = np.asarray(
-            op_code if op_code else [0], dtype=np.int64
-        )
-        self._op_out = np.asarray(op_out if op_out else [0], dtype=np.int64)
-        self._op_a = np.asarray(op_a if op_a else [0], dtype=np.int64)
-        self._op_b = np.asarray(op_b if op_b else [0], dtype=np.int64)
-        self._op_c = np.asarray(op_c if op_c else [0], dtype=np.int64)
-        self._const1 = np.asarray(
-            sorted(sched._const1) if sched._const1 else [0], dtype=np.int64
-        )
-        self._n_const1 = len(sched._const1)
-        self._n_dffs = sched._n_dffs
+        self.n_slots = max(int(self.program.stim_nets.size), 1)
 
     def stats(self):
-        """Active vs. full cell evaluations (see ScheduledSimulator)."""
-        return self._sched.stats()
-
-    def _check_record_list(self, record_nets):
-        record_list = (
-            list(self.roots) if record_nets is None else list(record_nets)
-        )
-        root_set = set(self.roots)
-        for net in record_list:
-            if net not in root_set:
-                raise SimulationError(
-                    f"net {net} is not a root of this scheduled slice"
-                )
-        return record_list
+        """Active vs. full cell evaluations (see ScheduledProgram.stats)."""
+        return self.program.stats()
 
     def _run_dense(
         self, stim: np.ndarray, record_list: "list[int]"
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One interpreter call; returns the raw (rec, rec_slot) pair."""
+        program = self.program
         n_cycles = self.n_cycles
         n_words = self.n_words
         rec_slot = np.full(n_cycles, -1, dtype=np.int64)
-        for slot, cycle in enumerate(self.record_cycles):
-            if 0 <= cycle < n_cycles:
-                rec_slot[cycle] = slot
+        rec_slot[list(program.record_cycles)] = np.arange(
+            len(program.record_cycles)
+        )
         n_rec = len(record_list)
         rec = np.zeros(
-            (max(len(self.record_cycles), 1), max(n_rec, 1), n_words),
-            np.uint64,
+            (len(program.record_cycles), max(n_rec, 1), n_words), np.uint64
         )
         rec_net = np.asarray(
             record_list if record_list else [0], dtype=np.int64
         )
         ffi = _pipe_ffi()
 
-        def cast(arr, ctype="int64_t *"):
-            return ffi.cast(ctype, arr.ctypes.data)
+        def cast(array):
+            ctype = "uint8_t *" if array.dtype == np.uint8 else "int64_t *"
+            return ffi.cast(ctype, array.ctypes.data)
 
         status = self._kernel.lib.repro_sched_run(
             ffi.cast("uint64_t *", stim.ctypes.data),
@@ -2128,103 +2027,38 @@ class NativeScheduledSimulator:
             cast(rec_net),
             n_rec,
             cast(rec_slot),
-            cast(self._in_off),
-            cast(self._in_slot),
-            cast(self._in_net),
-            cast(self._chk_off),
-            cast(self._chk_slot),
-            cast(self._chk_bit, "uint8_t *"),
-            cast(self._rd_off),
-            cast(self._rd_net),
-            cast(self._rd_reg),
-            cast(self._cap_off),
-            cast(self._cap_net),
-            cast(self._cap_reg),
-            cast(self._op_off),
-            cast(self._op_code),
-            cast(self._op_out),
-            cast(self._op_a),
-            cast(self._op_b),
-            cast(self._op_c),
-            cast(self._const1),
-            self._n_const1,
-            self.netlist.n_nets,
-            self._n_dffs,
-            max(self.n_slots, 1),
+            *(cast(getattr(program, name)) for name in _SCHED_ARRAYS),
+            int(program.const1.size),
+            program.n_nets,
+            program.n_dffs,
+            self.n_slots,
             n_cycles,
             n_words,
             self.n_threads,
         )
         if status == 3:
-            raise SimulationError(
-                "stimulus for a scheduled net does not match its "
-                "declared per-cycle value"
-            )
+            # A scheduled net is off its declared value: name it.
+            for cycle in range(n_cycles):
+                program.check_cycle(self.netlist, stim[cycle], cycle)
         if status != 0:
             raise SimulationError(
                 f"native scheduled kernel failed (status {status})"
             )
         return rec, rec_slot
 
-    def _expand_stimulus(self, stimulus) -> np.ndarray:
-        """Per-cycle callable to the dense (n_cycles, slots, nw) form.
-
-        Reproduces the python path's missing-input / bad-shape errors
-        for the nets each cycle actually needs; other driven nets are
-        ignored (the interpreter only reads needed slots).
-        """
-        netlist = self.netlist
-        n_words = self.n_words
-        sched = self._sched
-        stim = np.zeros(
-            (self.n_cycles, max(self.n_slots, 1), n_words), np.uint64
-        )
-        slot_of_net = self._slot_of_net
-        for cycle in range(self.n_cycles):
-            provided = stimulus(cycle)
-            row = stim[cycle]
-            for pi in sched._cycle_inputs[cycle]:
-                if pi not in provided:
-                    raise SimulationError(
-                        f"stimulus missing primary input "
-                        f"{netlist.net_name(pi)!r} at cycle {cycle}"
-                    )
-                words = np.asarray(provided[pi], dtype=np.uint64)
-                if words.shape != (n_words,):
-                    raise SimulationError(
-                        f"stimulus for {netlist.net_name(pi)!r} has shape "
-                        f"{words.shape}, expected ({n_words},)"
-                    )
-                row[slot_of_net[pi]] = words
-            for net in self._sched_nets:
-                if net not in provided:
-                    raise SimulationError(
-                        f"stimulus missing scheduled input "
-                        f"{netlist.net_name(net)!r} at cycle {cycle}"
-                    )
-                words = np.asarray(provided[net], dtype=np.uint64)
-                if words.shape != (n_words,):
-                    raise SimulationError(
-                        f"stimulus for {netlist.net_name(net)!r} has shape "
-                        f"{words.shape}, expected ({n_words},)"
-                    )
-                row[slot_of_net[net]] = words
-        return stim
-
     def run(self, stimulus, record_nets: Optional[Iterable[int]] = None):
         """Simulate and record; same contract as ScheduledSimulator.run."""
-        record_list = self._check_record_list(record_nets)
-        stim = self._expand_stimulus(stimulus)
-        rec, rec_slot = self._run_dense(stim, record_list)
-        trace = Trace(self.n_lanes, record_list)
-        values = trace.values
+        program = self.program
+        record_list = program.record_list(record_nets)
+        stim = np.zeros(
+            (self.n_cycles, self.n_slots, self.n_words), np.uint64
+        )
         for cycle in range(self.n_cycles):
-            slot = int(rec_slot[cycle])
-            if slot < 0:
-                values.append({})
-            else:
-                values.append(dict(zip(record_list, rec[slot])))
-        return trace
+            program.stimulus_cycle(
+                self.netlist, stimulus(cycle), cycle, stim[cycle]
+            )
+        rec, rec_slot = self._run_dense(stim, record_list)
+        return _trace(self.n_lanes, record_list, rec, rec_slot)
 
     def run_pipeline(
         self,
@@ -2240,53 +2074,24 @@ class NativeScheduledSimulator:
         nets' generated words against the declared schedule exactly like
         the python path.
         """
-        from time import perf_counter
-
-        record_list = self._check_record_list(record_nets)
-        covered = set(net for net in plan.row_nets if net >= 0)
-        needed = set(
-            net for per in self._sched._cycle_inputs for net in per
-        ) | set(self._sched_nets)
-        for net in sorted(needed):
-            if net not in covered:
-                raise SimulationError(
-                    f"stimulus plan does not drive needed input "
-                    f"{self.netlist.net_name(net)!r}"
-                )
-        if plan.n_words != self.n_words:
+        program = self.program
+        record_list = program.record_list(record_nets)
+        stim_nets = program.stim_nets
+        undriven = stim_nets[~np.isin(stim_nets, plan.row_nets)]
+        if undriven.size:
             raise SimulationError(
-                f"stimulus plan is {plan.n_words} words wide, "
-                f"simulator needs {self.n_words}"
+                f"stimulus plan does not drive needed input "
+                f"{self.netlist.net_name(int(undriven[0]))!r}"
             )
-        t0 = perf_counter()
-        stim = _stimgen_dense(
+        return _run_pipeline(
+            self,
             self._kernel,
             plan,
-            self._slot_of_net,
+            dict(zip(stim_nets.tolist(), range(stim_nets.size))),
             self.n_slots,
             self.n_cycles,
-            self.n_words,
-        )
-        t1 = perf_counter()
-        rec, rec_slot = self._run_dense(stim, record_list)
-        t2 = perf_counter()
-        record_index = {net: i for i, net in enumerate(record_list)}
-        counts = _extract_counts(
-            self._kernel,
-            rec,
-            rec_slot,
-            record_index,
-            len(record_list),
-            self.n_lanes,
-            self.n_words,
+            record_list,
+            lambda stim: self._run_dense(stim, record_list),
             tests,
             hash_bits,
-            self.n_threads,
         )
-        t3 = perf_counter()
-        timings = {
-            "stimulus": t1 - t0,
-            "simulate": t2 - t1,
-            "extract": t3 - t2,
-        }
-        return counts, timings

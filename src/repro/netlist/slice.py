@@ -13,7 +13,11 @@ slices a compiled :class:`~repro.netlist.compile.GateProgram` down to it:
   the program so :class:`~repro.netlist.simulate.Trace` extraction and
   histogram table ids are unchanged;
 * slices are content-hash cached alongside full programs in the bounded
-  program cache, keyed by (netlist hash, cone digest).
+  program cache, keyed by (netlist hash, cone digest);
+* per-cycle *scheduled* cones (:func:`scheduled_cone`) are lowered once
+  into a :class:`ScheduledProgram`, cached in the same LRU, which both the
+  numpy :class:`ScheduledSimulator` and the native scheduled interpreter
+  execute.
 
 Because the cone is closed under fan-in, every live net computes exactly
 the same uint64 words as in the full program -- sliced evaluation is
@@ -255,6 +259,19 @@ def _validate_schedule(
     return normalized
 
 
+def _schedule_digest(
+    roots: Sequence[int],
+    cycles: Sequence[int],
+    n_cycles: int,
+    values: Mapping[int, Tuple[int, ...]],
+) -> str:
+    """SHA-256 of a scheduled cone's parameters (sorted roots/cycles)."""
+    digest = hashlib.sha256()
+    digest.update(_digest_nets(roots).encode())
+    digest.update(repr((cycles, n_cycles, sorted(values.items()))).encode())
+    return digest.hexdigest()
+
+
 def scheduled_cone(
     netlist: Netlist,
     nets: Iterable[int],
@@ -279,10 +296,10 @@ def scheduled_cone(
 
     Returns one frozenset of needed nets per cycle (length ``n_cycles``).
     Scheduled nets must be primary inputs driven with the declared scalar
-    value on every lane; :class:`ScheduledSimulator` verifies this at run
-    time, which makes sliced execution bit-identical (the bitsliced
-    constant encoding fills all 64 bits of each word, so the de-selected
-    branch is masked out entirely).
+    value on every lane; both scheduled executors verify this at run
+    time (:meth:`ScheduledProgram.check_cycle`), which makes sliced
+    execution bit-identical (the bitsliced constant encoding fills all 64
+    bits of each word, so the de-selected branch is masked out entirely).
     """
     roots = sorted(set(nets))
     for net in roots:
@@ -300,10 +317,10 @@ def scheduled_cone(
         )
     values = _validate_schedule(netlist, schedule, n_cycles)
 
-    digest = hashlib.sha256()
-    digest.update(_digest_nets(roots).encode())
-    digest.update(repr((cycles, n_cycles, sorted(values.items()))).encode())
-    key = (netlist_content_hash(netlist), digest.hexdigest())
+    key = (
+        netlist_content_hash(netlist),
+        _schedule_digest(roots, cycles, n_cycles, values),
+    )
     cached = _SCHEDULED_MEMO.get(key)
     if cached is not None:
         _SCHEDULED_MEMO.move_to_end(key)
@@ -503,6 +520,335 @@ def slice_program(
     return program
 
 
+#: Gate op codes of a scheduled program, in ``repro_sched_run``'s switch
+#: order; a scheduled mux folded into a copy of its branch is a BUF.
+_OP_CELLS: Tuple[CellType, ...] = (
+    CellType.BUF, CellType.NOT, CellType.AND, CellType.NAND, CellType.OR,
+    CellType.NOR, CellType.XOR, CellType.XNOR, CellType.MUX,
+)
+_OP_MUX = _OP_CELLS.index(CellType.MUX)
+
+#: Dispatch order code (``_CTYPE_ORDER``, 0 = folded copy) -> op code.
+_OP_OF_ORDER = np.asarray(
+    [0] + [
+        _OP_CELLS.index(ct) if ct in _OP_CELLS else -1
+        for ct in _CTYPE_LIST
+    ],
+    dtype=np.int64,
+)
+
+#: numpy evaluation of each op code over the state matrix ``s``.
+_OP_EVAL = (
+    lambda s, a, b, c: s[a],
+    lambda s, a, b, c: ~s[a],
+    lambda s, a, b, c: s[a] & s[b],
+    lambda s, a, b, c: ~(s[a] & s[b]),
+    lambda s, a, b, c: s[a] | s[b],
+    lambda s, a, b, c: ~(s[a] | s[b]),
+    lambda s, a, b, c: s[a] ^ s[b],
+    lambda s, a, b, c: ~(s[a] ^ s[b]),
+    lambda s, a, b, c: (s[b] & ~s[a]) | (s[c] & s[a]),
+)
+
+_FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+@dataclass(frozen=True, eq=False)
+class ScheduledProgram:
+    """One lowering of a scheduled cone, read by both scheduled executors.
+
+    Built by :func:`scheduled_program` once per (netlist, roots, record
+    cycles, cycle count, schedule) and cached in the program LRU; it does
+    not depend on the lane count, so every block width shares one entry.
+    Per-cycle structures are flat integer arrays behind ``(n_cycles + 1)``
+    offset arrays -- cycle ``t`` owns ``x[x_off[t]:x_off[t + 1]]`` -- and
+    every array is read-only, because the cache shares them:
+
+    * ``stim_nets`` -- the stimulus slots: every needed primary input and
+      every scheduled net, sorted;
+    * ``in_net`` / ``in_slot`` -- the needed inputs of each cycle;
+    * ``chk_slot`` / ``chk_bit`` -- the scheduled nets checked each cycle
+      against their declared bit;
+    * ``rd_net`` / ``rd_reg`` -- register outputs restored before the
+      cycle, ``cap_net`` / ``cap_reg`` -- register inputs captured after;
+    * ``op_code`` / ``op_out`` / ``op_a`` / ``op_b`` / ``op_c`` -- the
+      active cells, level-major, as ``_OP_CELLS`` codes with operand nets
+      (0 where unused); dispatch group ``g`` (one level and cell type) is
+      ``op_*[disp_start[g]:disp_start[g + 1]]`` and cycle ``t`` owns the
+      groups ``disp_off[t]:disp_off[t + 1]``;
+    * ``const1`` -- the constant-one nets.
+    """
+
+    n_nets: int
+    n_dffs: int
+    n_comb_cells: int
+    n_cycles: int
+    roots: Tuple[int, ...]
+    record_cycles: Tuple[int, ...]
+    stim_nets: np.ndarray
+    in_off: np.ndarray
+    in_slot: np.ndarray
+    in_net: np.ndarray
+    chk_off: np.ndarray
+    chk_slot: np.ndarray
+    chk_bit: np.ndarray
+    rd_off: np.ndarray
+    rd_net: np.ndarray
+    rd_reg: np.ndarray
+    cap_off: np.ndarray
+    cap_net: np.ndarray
+    cap_reg: np.ndarray
+    op_off: np.ndarray
+    op_code: np.ndarray
+    op_out: np.ndarray
+    op_a: np.ndarray
+    op_b: np.ndarray
+    op_c: np.ndarray
+    disp_off: np.ndarray
+    disp_start: np.ndarray
+    const1: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def stats(self) -> Dict[str, float]:
+        """Active vs. full cell evaluations over the whole run."""
+        full = self.n_comb_cells * self.n_cycles
+        active = int(self.op_code.size)
+        return {
+            "cell_cycles_full": full,
+            "cell_cycles": active,
+            "cell_cycle_ratio": round(full / max(1, active), 3),
+            "dispatches": int(self.disp_start.size) - 1,
+            "n_cycles": self.n_cycles,
+            "record_cycles": len(self.record_cycles),
+        }
+
+    def record_list(self, record_nets: Optional[Iterable[int]]) -> List[int]:
+        """``record_nets`` (default: the roots), checked to be roots.
+
+        The scheduled cone only guarantees values for the roots at the
+        record cycles.
+        """
+        record = (
+            list(self.roots) if record_nets is None else list(record_nets)
+        )
+        roots = set(self.roots)
+        for net in record:
+            if net not in roots:
+                raise SimulationError(
+                    f"net {net} is not a root of this scheduled slice"
+                )
+        return record
+
+    def stimulus_cycle(
+        self,
+        netlist: Netlist,
+        provided: Mapping[int, np.ndarray],
+        cycle: int,
+        row: np.ndarray,
+    ) -> None:
+        """Write one cycle's stimulus into ``row`` (one row per slot).
+
+        Raises for a needed or scheduled input missing from ``provided``,
+        a word vector whose shape is not ``(n_words,)``, and a scheduled
+        net off its declared value (see :meth:`check_cycle`).
+        """
+        n_words = row.shape[1]
+        lo, hi = self.in_off[cycle], self.in_off[cycle + 1]
+        chk_lo, chk_hi = self.chk_off[cycle], self.chk_off[cycle + 1]
+        chk_slot = self.chk_slot[chk_lo:chk_hi]
+        for role, nets, slots in (
+            ("primary", self.in_net[lo:hi], self.in_slot[lo:hi]),
+            ("scheduled", self.stim_nets[chk_slot], chk_slot),
+        ):
+            for net, slot in zip(nets.tolist(), slots.tolist()):
+                if net not in provided:
+                    raise SimulationError(
+                        f"stimulus missing {role} input "
+                        f"{netlist.net_name(net)!r} at cycle {cycle}"
+                    )
+                words = np.asarray(provided[net], dtype=np.uint64)
+                if words.shape != (n_words,):
+                    raise SimulationError(
+                        f"stimulus for {netlist.net_name(net)!r} has shape "
+                        f"{words.shape}, expected ({n_words},)"
+                    )
+                row[slot] = words
+        self.check_cycle(netlist, row, cycle)
+
+    def check_cycle(
+        self, netlist: Netlist, row: np.ndarray, cycle: int
+    ) -> None:
+        """Raise unless every scheduled slot of ``row`` holds its bit.
+
+        A scheduled net must carry its declared constant on every lane
+        (all 64 bits of every word): that is what makes executing only
+        the selected mux branch bit-identical.
+        """
+        lo, hi = self.chk_off[cycle], self.chk_off[cycle + 1]
+        bits = self.chk_bit[lo:hi]
+        expected = np.where(bits, _FULL_WORD, np.uint64(0))
+        words = row[self.chk_slot[lo:hi]]
+        bad = np.flatnonzero((words != expected[:, None]).any(axis=1))
+        if bad.size:
+            index = int(bad[0])
+            net = int(self.stim_nets[self.chk_slot[lo + index]])
+            raise SimulationError(
+                f"stimulus for scheduled net {netlist.net_name(net)!r} at "
+                f"cycle {cycle} does not match its declared value "
+                f"{int(bits[index])}"
+            )
+
+
+def _offsets(parts: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-part offsets and the concatenation of ``parts`` (int64)."""
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([part.size for part in parts], out=offsets[1:])
+    return offsets, np.concatenate(parts).astype(np.int64)
+
+
+def _lower_scheduled(
+    netlist: Netlist,
+    roots: List[int],
+    cycles: List[int],
+    n_cycles: int,
+    values: Mapping[int, Tuple[int, ...]],
+    needed: Sequence[FrozenSet[int]],
+) -> ScheduledProgram:
+    """Compile per-cycle needed-net sets into a :class:`ScheduledProgram`.
+
+    Each cycle's active cells are sorted by (level, cell type) into
+    dispatch groups -- ordering within a level is free, since same-level
+    cells never feed each other -- and a mux whose select is scheduled is
+    folded into a copy of its selected branch, sorted first within its
+    level.
+    """
+    arrays = _driver_arrays(netlist)
+    kind = arrays["kind"]
+    ctype = arrays["ctype"]
+    in0, in1, in2 = arrays["in0"], arrays["in1"], arrays["in2"]
+    dff_index = arrays["dff_index"]
+    level = arrays["level"]
+    sched_row, sched_bits = _schedule_table(netlist, values, n_cycles)
+    needed_arrays = [
+        np.sort(np.fromiter(per, dtype=np.int64, count=len(per)))
+        for per in needed
+    ]
+
+    inputs, reads, captures, const1 = [], [], [], []
+    codes, outs, srcs, group_starts = [], [], [], []
+    n_ops = 0
+    for t, nets in enumerate(needed_arrays):
+        kinds = kind[nets]
+        inputs.append(nets[kinds == _KIND_INPUT])
+        reads.append(nets[kinds == _KIND_DFF])
+        const1.append(nets[kinds == _KIND_CONST1])
+        upcoming = needed_arrays[t + 1] if t + 1 < n_cycles else nets[:0]
+        captures.append(upcoming[kind[upcoming] == _KIND_DFF])
+        mux = nets[kinds == _KIND_MUX]
+        rows = sched_row[in0[mux]]
+        folded = mux[rows >= 0]
+        active = np.concatenate(
+            [nets[kinds == _KIND_COMB], mux[rows < 0]]
+        )
+        out = np.concatenate([folded, active])
+        src = np.concatenate([
+            np.where(
+                sched_bits[rows[rows >= 0], t], in2[folded], in1[folded]
+            ),
+            in0[active],
+        ])
+        composite = level[out] * 64 + np.concatenate([
+            np.zeros(folded.size, dtype=np.int64),
+            ctype[active].astype(np.int64),
+        ])
+        order = np.argsort(composite, kind="stable")
+        composite = composite[order]
+        codes.append(_OP_OF_ORDER[composite % 64])
+        outs.append(out[order])
+        srcs.append(src[order])
+        group_starts.append(
+            n_ops + np.flatnonzero(np.diff(composite, prepend=-1))
+        )
+        n_ops += int(composite.size)
+
+    in_off, in_net = _offsets(inputs)
+    stim_nets = np.unique(
+        np.concatenate([in_net, np.asarray(sorted(values), np.int64)])
+    )
+    rd_off, rd_net = _offsets(reads)
+    cap_off, cap_q = _offsets(captures)
+    op_off, op_code = _offsets(codes)
+    op_out = np.concatenate(outs).astype(np.int64)
+    disp_off, disp_start = _offsets(group_starts)
+    n_sched = len(values)
+    sched_slots = np.searchsorted(
+        stim_nets, np.asarray(sorted(values), dtype=np.int64)
+    )
+    return ScheduledProgram(
+        n_nets=netlist.n_nets,
+        n_dffs=arrays["n_dffs"],
+        n_comb_cells=arrays["n_comb_cells"],
+        n_cycles=n_cycles,
+        roots=tuple(roots),
+        record_cycles=tuple(cycles),
+        stim_nets=stim_nets,
+        in_off=in_off,
+        in_slot=np.searchsorted(stim_nets, in_net).astype(np.int64),
+        in_net=in_net,
+        chk_off=np.arange(n_cycles + 1, dtype=np.int64) * n_sched,
+        chk_slot=np.tile(sched_slots, n_cycles).astype(np.int64),
+        chk_bit=sched_bits.T.astype(np.uint8).ravel(),
+        rd_off=rd_off,
+        rd_net=rd_net,
+        rd_reg=dff_index[rd_net].astype(np.int64),
+        cap_off=cap_off,
+        cap_net=in0[cap_q].astype(np.int64),
+        cap_reg=dff_index[cap_q].astype(np.int64),
+        op_off=op_off,
+        op_code=op_code,
+        op_out=op_out,
+        op_a=np.concatenate(srcs).astype(np.int64),
+        op_b=np.where(op_code >= 2, in1[op_out], 0).astype(np.int64),
+        op_c=np.where(op_code == _OP_MUX, in2[op_out], 0).astype(np.int64),
+        disp_off=disp_off,
+        disp_start=np.append(disp_start, n_ops).astype(np.int64),
+        const1=np.unique(np.concatenate(const1)).astype(np.int64),
+    )
+
+
+def scheduled_program(
+    netlist: Netlist,
+    roots: Iterable[int],
+    record_cycles: Iterable[int],
+    n_cycles: int,
+    schedule: Mapping[int, Sequence[int]],
+) -> ScheduledProgram:
+    """The cached :class:`ScheduledProgram` of :func:`scheduled_cone`.
+
+    Shares the bounded program LRU with full and sliced programs, keyed
+    by netlist content hash plus the cone parameters (never the lane
+    count); a hit runs neither the cone traversal nor the lowering.
+    """
+    root_list = sorted(set(roots))
+    cycles = sorted(set(int(t) for t in record_cycles))
+    values = _validate_schedule(netlist, schedule, n_cycles)
+    digest = _schedule_digest(root_list, cycles, n_cycles, values)
+    key = f"{netlist_content_hash(netlist)}:sched:{digest}"
+    cached = program_cache_get(key)
+    if cached is not None:
+        return cached
+    needed = scheduled_cone(netlist, root_list, cycles, n_cycles, schedule)
+    program = _lower_scheduled(
+        netlist, root_list, cycles, n_cycles, values, needed
+    )
+    program_cache_put(key, program)
+    return program
+
+
 class ScheduledSimulator:
     """Bitsliced simulation restricted to per-cycle scheduled cones.
 
@@ -512,16 +858,14 @@ class ScheduledSimulator:
     registers this skips nearly every cell on nearly every cycle, where
     the static :func:`sequential_cone` would retain the whole netlist.
 
-    Per-cycle active sets are compiled at construction into vectorized
-    dispatches (contiguous index arrays grouped by level and cell type
-    over an ``(n_nets, n_words)`` state matrix, exactly like
-    :class:`~repro.netlist.compile.CompiledSimulator`); a MUX whose select
-    is scheduled is folded into a copy of its selected branch.  Every
-    stimulus word driven on a scheduled net is verified against the
-    declared schedule (all lanes, all 64 bits of each word), so the result
-    is bit-identical to the full simulation at every recorded
-    (net, cycle) pair -- a wrong schedule raises instead of silently
-    diverging.
+    The numpy executor of a :class:`ScheduledProgram`: one vectorized
+    dispatch per (cycle, level, cell type) over an ``(n_nets, n_words)``
+    state matrix, exactly like
+    :class:`~repro.netlist.compile.CompiledSimulator`.  Every stimulus
+    word driven on a scheduled net is verified against the declared
+    schedule (all lanes, all 64 bits of each word), so the result is
+    bit-identical to the full simulation at every recorded (net, cycle)
+    pair -- a wrong schedule raises instead of silently diverging.
     """
 
     def __init__(
@@ -537,238 +881,67 @@ class ScheduledSimulator:
 
         if n_lanes <= 0:
             raise SimulationError("n_lanes must be positive")
+        self.program = scheduled_program(
+            netlist, roots, record_cycles, n_cycles, schedule
+        )
         self.netlist = netlist
         self.n_lanes = n_lanes
         self.n_words = words_for_lanes(n_lanes)
         self.n_cycles = n_cycles
-        self.roots = sorted(set(roots))
-        self.record_cycles = sorted(set(int(t) for t in record_cycles))
-        self._schedule = _validate_schedule(netlist, schedule, n_cycles)
-        self._needed = scheduled_cone(
-            netlist, self.roots, self.record_cycles, n_cycles, schedule
-        )
-
-        arrays = _driver_arrays(netlist)
-        kind = arrays["kind"]
-        ctype = arrays["ctype"]
-        in0, in1, in2 = arrays["in0"], arrays["in1"], arrays["in2"]
-        dff_index = arrays["dff_index"]
-        level = arrays["level"]
-        self._n_comb_cells = arrays["n_comb_cells"]
-        self._n_dffs = arrays["n_dffs"]
-        sched_row, sched_bits = _schedule_table(
-            netlist, self._schedule, n_cycles
-        )
-        needed_arrays = [
-            np.sort(np.fromiter(per, dtype=np.intp, count=len(per)))
-            for per in self._needed
-        ]
-
-        #: per cycle: list of GateOps (level-major), input nets, register
-        #: read/capture index arrays, and the active cell count.
-        self._cycle_ops: List[List[GateOp]] = []
-        self._cycle_inputs: List[List[int]] = []
-        self._cycle_reads: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._cycle_captures: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._const0: set = set()
-        self._const1: set = set()
-        self._active_cell_cycles = 0
-        empty = np.empty(0, dtype=np.intp)
-        for t in range(n_cycles):
-            nets = needed_arrays[t]
-            kinds = kind[nets]
-            inputs_t = nets[kinds == _KIND_INPUT]
-            read_q = nets[kinds == _KIND_DFF]
-            self._const0.update(map(int, nets[kinds == _KIND_CONST0]))
-            self._const1.update(map(int, nets[kinds == _KIND_CONST1]))
-            # Scheduled muxes fold into copies of their selected branch;
-            # muxes with a live (unscheduled) select dispatch normally.
-            comb_nets = nets[kinds == _KIND_COMB]
-            mux_nets = nets[kinds == _KIND_MUX]
-            folded = folded_src = empty
-            if mux_nets.size:
-                rows = sched_row[in0[mux_nets]]
-                scheduled = rows >= 0
-                folded = mux_nets[scheduled]
-                if folded.size:
-                    select = sched_bits[rows[scheduled], t]
-                    folded_src = np.where(
-                        select, in2[folded], in1[folded]
-                    )
-                comb_nets = np.concatenate(
-                    [comb_nets, mux_nets[~scheduled]]
-                )
-            self._active_cell_cycles += int(comb_nets.size + folded.size)
-
-            # One vectorized dispatch per (level, cell type); folded
-            # copies sort first within their level (order code 0).
-            # Ordering within a level is free -- same-level cells never
-            # feed each other -- so level-major order is preserved.
-            ops: List[GateOp] = []
-            if folded.size or comb_nets.size:
-                out_all = np.concatenate([folded, comb_nets])
-                src_all = np.concatenate([folded_src, in0[comb_nets]])
-                code_all = np.concatenate([
-                    np.zeros(folded.size, dtype=np.int64),
-                    ctype[comb_nets].astype(np.int64),
-                ])
-                composite = level[out_all] * 64 + code_all
-                order = np.argsort(composite, kind="stable")
-                out_all = out_all[order]
-                src_all = src_all[order]
-                composite = composite[order]
-                boundaries = np.flatnonzero(np.diff(composite)) + 1
-                starts = np.concatenate(([0], boundaries))
-                ends = np.concatenate((boundaries, [composite.size]))
-                for start, end in zip(starts, ends):
-                    code = int(composite[start]) % 64
-                    outs = out_all[start:end]
-                    if code == 0:
-                        ops.append(GateOp(
-                            cell_type=CellType.BUF,
-                            out=outs,
-                            in0=src_all[start:end],
-                            in1=empty,
-                            in2=empty,
-                        ))
-                        continue
-                    cell_type = _CTYPE_LIST[code - 1]
-                    arity = cell_type.arity
-                    ops.append(GateOp(
-                        cell_type=cell_type,
-                        out=outs,
-                        in0=in0[outs],
-                        in1=in1[outs] if arity >= 2 else empty,
-                        in2=in2[outs] if arity >= 3 else empty,
-                    ))
-            self._cycle_ops.append(ops)
-            self._cycle_inputs.append(inputs_t.tolist())
-            self._cycle_reads.append((read_q, dff_index[read_q]))
-            if t + 1 < n_cycles:
-                upcoming = needed_arrays[t + 1]
-                dff_next = upcoming[kind[upcoming] == _KIND_DFF]
-                self._cycle_captures.append(
-                    (in0[dff_next], dff_index[dff_next])
-                )
-            else:
-                self._cycle_captures.append((empty, empty))
+        self.roots = list(self.program.roots)
+        self.record_cycles = list(self.program.record_cycles)
 
     def stats(self) -> Dict[str, float]:
         """Active vs. full cell evaluations over the whole run."""
-        full = self._n_comb_cells * self.n_cycles
-        active = self._active_cell_cycles
-        dispatches = sum(len(ops) for ops in self._cycle_ops)
-        return {
-            "cell_cycles_full": full,
-            "cell_cycles": active,
-            "cell_cycle_ratio": round(full / max(1, active), 3),
-            "dispatches": dispatches,
-            "n_cycles": self.n_cycles,
-            "record_cycles": len(self.record_cycles),
-        }
+        return self.program.stats()
 
     def run(self, stimulus, record_nets: Optional[Iterable[int]] = None):
         """Simulate and record ``record_nets`` at the record cycles.
 
         ``record_nets`` defaults to the cone roots and must be a subset of
-        them (the scheduled cone only guarantees values for the roots at
-        the record cycles).  The stimulus must drive every needed primary
-        input, with each scheduled net held at its declared per-cycle
-        constant.  The simulator carries no mutable state between runs, so
-        one instance can evaluate many stimulus streams.
+        them.  The stimulus must drive every needed primary input, with
+        each scheduled net held at its declared per-cycle constant.  The
+        simulator carries no mutable state between runs, so one instance
+        can evaluate many stimulus streams.
         """
         from repro.netlist.simulate import Trace
 
-        record_list = (
-            list(self.roots) if record_nets is None else list(record_nets)
-        )
-        root_set = set(self.roots)
-        for net in record_list:
-            if net not in root_set:
-                raise SimulationError(
-                    f"net {net} is not a root of this scheduled slice"
-                )
-        record_set = set(self.record_cycles)
+        program = self.program
+        record_list = program.record_list(record_nets)
+        record_set = set(program.record_cycles)
         trace = Trace(self.n_lanes, record_list)
-
-        netlist = self.netlist
         n_words = self.n_words
-        full_word = np.uint64(0xFFFFFFFFFFFFFFFF)
-        state = np.zeros((netlist.n_nets, n_words), dtype=np.uint64)
-        if self._const1:
-            state[np.asarray(sorted(self._const1), dtype=np.intp)] = (
-                full_word
-            )
-        reg_state = np.zeros((self._n_dffs, n_words), dtype=np.uint64)
+        state = np.zeros((program.n_nets, n_words), dtype=np.uint64)
+        state[program.const1] = _FULL_WORD
+        reg_state = np.zeros((program.n_dffs, n_words), dtype=np.uint64)
+        row = np.zeros(
+            (max(program.stim_nets.size, 1), n_words), dtype=np.uint64
+        )
+        in_off = program.in_off.tolist()
+        rd_off = program.rd_off.tolist()
+        cap_off = program.cap_off.tolist()
+        disp_off = program.disp_off.tolist()
+        starts = program.disp_start.tolist()
+        code, out = program.op_code, program.op_out
+        op_a, op_b, op_c = program.op_a, program.op_b, program.op_c
 
         for cycle in range(self.n_cycles):
-            provided = stimulus(cycle)
-            for pi in self._cycle_inputs[cycle]:
-                if pi not in provided:
-                    raise SimulationError(
-                        f"stimulus missing primary input "
-                        f"{netlist.net_name(pi)!r} at cycle {cycle}"
-                    )
-                words = np.asarray(provided[pi], dtype=np.uint64)
-                if words.shape != (n_words,):
-                    raise SimulationError(
-                        f"stimulus for {netlist.net_name(pi)!r} has shape "
-                        f"{words.shape}, expected ({n_words},)"
-                    )
-                state[pi] = words
-            for net, bits in self._schedule.items():
-                if net not in provided:
-                    raise SimulationError(
-                        f"stimulus missing scheduled input "
-                        f"{netlist.net_name(net)!r} at cycle {cycle}"
-                    )
-                expected = full_word if bits[cycle] else np.uint64(0)
-                if not np.all(
-                    np.asarray(provided[net], dtype=np.uint64) == expected
-                ):
-                    raise SimulationError(
-                        f"stimulus for scheduled net "
-                        f"{netlist.net_name(net)!r} at cycle {cycle} does "
-                        f"not match its declared value {bits[cycle]}"
-                    )
-            read_q, read_reg = self._cycle_reads[cycle]
-            if read_q.size:
-                state[read_q] = reg_state[read_reg]
-            self._execute(cycle, state)
+            program.stimulus_cycle(self.netlist, stimulus(cycle), cycle, row)
+            lo, hi = in_off[cycle], in_off[cycle + 1]
+            state[program.in_net[lo:hi]] = row[program.in_slot[lo:hi]]
+            lo, hi = rd_off[cycle], rd_off[cycle + 1]
+            state[program.rd_net[lo:hi]] = reg_state[program.rd_reg[lo:hi]]
+            for group in range(disp_off[cycle], disp_off[cycle + 1]):
+                lo, hi = starts[group], starts[group + 1]
+                state[out[lo:hi]] = _OP_EVAL[code[lo]](
+                    state, op_a[lo:hi], op_b[lo:hi], op_c[lo:hi]
+                )
             if cycle in record_set:
                 trace.values.append(
                     {net: state[net].copy() for net in record_list}
                 )
             else:
                 trace.values.append({})
-            cap_d, cap_reg = self._cycle_captures[cycle]
-            if cap_d.size:
-                reg_state[cap_reg] = state[cap_d]
+            lo, hi = cap_off[cycle], cap_off[cycle + 1]
+            reg_state[program.cap_reg[lo:hi]] = state[program.cap_net[lo:hi]]
         return trace
-
-    def _execute(self, cycle: int, state: np.ndarray) -> None:
-        for op in self._cycle_ops[cycle]:
-            kind = op.cell_type
-            if kind is CellType.BUF:
-                state[op.out] = state[op.in0]
-            elif kind is CellType.NOT:
-                state[op.out] = ~state[op.in0]
-            elif kind is CellType.AND:
-                state[op.out] = state[op.in0] & state[op.in1]
-            elif kind is CellType.NAND:
-                state[op.out] = ~(state[op.in0] & state[op.in1])
-            elif kind is CellType.OR:
-                state[op.out] = state[op.in0] | state[op.in1]
-            elif kind is CellType.NOR:
-                state[op.out] = ~(state[op.in0] | state[op.in1])
-            elif kind is CellType.XOR:
-                state[op.out] = state[op.in0] ^ state[op.in1]
-            elif kind is CellType.XNOR:
-                state[op.out] = ~(state[op.in0] ^ state[op.in1])
-            elif kind is CellType.MUX:
-                select = state[op.in0]
-                state[op.out] = (state[op.in1] & ~select) | (
-                    state[op.in2] & select
-                )
-            else:  # pragma: no cover - consts/DFFs are not dispatched
-                raise SimulationError(f"unexpected cell type {kind}")

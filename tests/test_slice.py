@@ -522,15 +522,25 @@ class TestScheduledCone:
 
 
 class TestScheduledSimulator:
+    """The scheduled-executor contract, on the numpy executor.
+
+    :class:`TestNativeScheduledSimulator` runs every test again on the
+    native interpreter: both executors read one ScheduledProgram and must
+    behave identically, errors included.
+    """
+
     N_CYCLES = 6
     LOAD = (1, 0, 0, 0, 1, 0)
+
+    def _executor(self):
+        return ScheduledSimulator
 
     def _build(self, n_lanes=130, seed=3):
         nl, nets = _recirculating_core()
         schedule = {nets["load"]: list(self.LOAD)}
         roots = [nets["state"], nets["out"]]
         record = [2, 3, 5]
-        simulator = ScheduledSimulator(
+        simulator = self._executor()(
             nl, n_lanes, roots, record, self.N_CYCLES, schedule
         )
         n_words = simulator.n_words
@@ -600,9 +610,106 @@ class TestScheduledSimulator:
         assert stats["n_cycles"] == self.N_CYCLES
         assert stats["record_cycles"] == 3
 
+    def test_wrong_schedule_names_net_and_cycle(self):
+        nl, nets, schedule, *_, simulator, stimulus = self._build()
+        lying = dict(schedule)
+        lying[nets["load"]] = [1, 0, 0, 1, 1, 0]
+        bad = _driven_stimulus(nl, lying, simulator.n_words, 3)
+        with pytest.raises(
+            SimulationError,
+            match="scheduled net 'load' at cycle 3 does not match its "
+            "declared value 0",
+        ):
+            simulator.run(bad)
+
+    def test_program_shared_across_lane_counts(self):
+        clear_program_cache()
+        *_, first, _ = self._build(n_lanes=130)
+        before = program_cache_info()
+        *_, second, _ = self._build(n_lanes=4000)
+        after = program_cache_info()
+        assert second.n_words != first.n_words
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+        assert second.program is first.program
+
+    def test_program_cache_misses_on_other_schedule_or_records(self):
+        clear_program_cache()
+        nl, nets, schedule, roots, record, first, _ = self._build()
+        executor = self._executor()
+        misses = program_cache_info().misses
+        other_schedule = executor(
+            nl, 130, roots, record, self.N_CYCLES,
+            {nets["load"]: [1, 0, 0, 1, 0, 0]},
+        )
+        other_records = executor(
+            nl, 130, roots, [2, 5], self.N_CYCLES, schedule
+        )
+        assert program_cache_info().misses == misses + 2
+        programs = {
+            id(sim.program) for sim in (first, other_schedule, other_records)
+        }
+        assert len(programs) == 3
+
+    def test_cached_program_is_read_only(self):
+        *_, simulator, _ = self._build()
+        program = simulator.program
+        arrays = [
+            value for value in vars(program).values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert arrays
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            program.op_out[0] = 0
+
+
+class TestNativeScheduledSimulator(TestScheduledSimulator):
+    """The same contract on the native interpreter (needs a toolchain)."""
+
+    def _executor(self):
+        from repro.netlist.native import (
+            NativeScheduledSimulator,
+            pipeline_unavailable_reason,
+        )
+
+        reason = pipeline_unavailable_reason()
+        if reason is not None:
+            pytest.skip(f"native scheduled interpreter unavailable: {reason}")
+        return NativeScheduledSimulator
+
+    def test_pipeline_names_mismatching_scheduled_net(self):
+        from repro.leakage.stimplan import StimulusPlanBuilder
+
+        nl, nets, schedule, roots, *_, simulator, _ = self._build()
+        # Random words on every input, the load control included.
+        builder = StimulusPlanBuilder(simulator.n_words)
+        for net in nl.inputs:
+            builder.draw(net=net)
+        plan = builder.build(np.random.default_rng(5))
+        with pytest.raises(
+            SimulationError,
+            match="scheduled net 'load' at cycle 0 does not match its "
+            "declared value 1",
+        ):
+            simulator.run_pipeline(plan, roots, [], 6)
+
+
+def _scheduled_executors():
+    """Every scheduled executor this host can run (native needs cc)."""
+    from repro.netlist.native import (
+        NativeScheduledSimulator,
+        pipeline_available,
+    )
+
+    if pipeline_available():
+        return (ScheduledSimulator, NativeScheduledSimulator)
+    return (ScheduledSimulator,)
+
 
 class TestScheduledBitIdentity:
-    """Scheduled slicing == full, over random netlists and schedules."""
+    """Scheduled slicing == full, over random netlists and schedules, on
+    every scheduled executor."""
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
@@ -632,14 +739,15 @@ class TestScheduledBitIdentity:
             nl, schedule, 2, data.draw(st.integers(0, 2**16))
         )
         replay = [stimulus(c) for c in range(n_cycles)]
-        sliced = ScheduledSimulator(
-            nl, 128, probes, record, n_cycles, schedule
-        ).run(lambda c: replay[c])
         full = BitslicedSimulator(nl, 128).run(
             lambda c: replay[c], n_cycles, record_nets=probes
         )
-        for t in record:
-            for net in probes:
-                assert np.array_equal(
-                    sliced.words(t, net), full.words(t, net)
-                ), (t, nl.net_name(net))
+        for executor in _scheduled_executors():
+            sliced = executor(
+                nl, 128, probes, record, n_cycles, schedule
+            ).run(lambda c: replay[c])
+            for t in record:
+                for net in probes:
+                    assert np.array_equal(
+                        sliced.words(t, net), full.words(t, net)
+                    ), (executor.__name__, t, nl.net_name(net))
