@@ -50,38 +50,83 @@ from repro.netlist.topo import transitive_input_support
 Var = Tuple[object, int]  # (role key, age)
 
 
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Word constants of enumeration bits 0..5: lane ``L`` of every word
+#: carries bit ``(L >> index) & 1``.
+_IN_WORD_PATTERNS = np.array(
+    [
+        0xAAAAAAAAAAAAAAAA,
+        0xCCCCCCCCCCCCCCCC,
+        0xF0F0F0F0F0F0F0F0,
+        0xFF00FF00FF00FF00,
+        0xFFFF0000FFFF0000,
+        0xFFFFFFFF00000000,
+    ],
+    dtype=np.uint64,
+)
+
+#: Widest observation key the popcount counter takes (the native kernel's
+#: ``EXT_POPCOUNT_MAX_BITS``): it splits the lane mask into all ``2^bits``
+#: key values, so its cost grows exponentially with the key width.
+POPCOUNT_MAX_KEY_BITS = 7
+
+#: Lane-mask words the popcount counter holds at once (2 MB), so a
+#: single-shot ``2^23``-lane class never allocates ``2^bits x n_words``.
+_POPCOUNT_BLOCK_WORDS = 1 << 18
+
+#: ``np.bitwise_count`` exists from numpy 2.0; older numpy uses the table.
+_bitwise_count = getattr(np, "bitwise_count", None)
+_BYTE_POPCOUNT = np.array(
+    [bin(byte).count("1") for byte in range(256)], dtype=np.uint8
+)
+
+
+def _popcount64(words: np.ndarray) -> np.ndarray:
+    """Set-bit count of every word of a uint64 array (uint8 result)."""
+    if _bitwise_count is not None:
+        return _bitwise_count(words)
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    per_byte = _BYTE_POPCOUNT[as_bytes].reshape(words.shape + (8,))
+    return per_byte.sum(axis=-1, dtype=np.uint8)
+
+
+def _popcount_counts(
+    planes: Sequence[np.ndarray], lanes: np.ndarray, words_per_row: int
+) -> np.ndarray:
+    """``(n_rows, 2^len(planes))`` lane counts per secret row and key.
+
+    Row ``r`` owns words ``[r * words_per_row, (r+1) * words_per_row)``;
+    ``lanes`` masks the lanes to count.  Splitting the lane mask by each
+    bit plane in turn leaves, for every key value ``v``, exactly the
+    lanes whose observation is ``v`` (plane ``i`` is key bit ``i``), and
+    each count is a popcount.  Works in word blocks to bound memory.
+    """
+    n_words = lanes.size
+    n_keys = 1 << len(planes)
+    counts = np.zeros((n_words // words_per_row, n_keys), dtype=np.int64)
+    step = min(n_words, _POPCOUNT_BLOCK_WORDS >> len(planes))
+    group = min(step, words_per_row)
+    for start in range(0, n_words, step):
+        masks = lanes[None, start:start + step]
+        for plane in planes:
+            bits = plane[start:start + step]
+            masks = np.concatenate((masks & ~bits, masks & bits))
+        sums = _popcount64(masks).reshape(n_keys, -1, group).sum(
+            axis=2, dtype=np.int64
+        )
+        row = start // words_per_row
+        counts[row:row + sums.shape[1]] += sums.T
+    return counts
+
+
 def _enum_pattern(index: int, n_words: int) -> np.ndarray:
     """Word array where lane L carries bit ``(L >> index) & 1``."""
     if index < 6:
-        span = 1 << index
-        base = np.uint64(0)
-        lane_bits = np.arange(64, dtype=np.uint64)
-        mask_bits = ((lane_bits >> np.uint64(index)) & np.uint64(1)).astype(
-            np.uint64
-        )
-        for position in range(64):
-            base |= mask_bits[position] << np.uint64(position)
-        return np.full(n_words, base, dtype=np.uint64)
+        return np.full(n_words, _IN_WORD_PATTERNS[index], dtype=np.uint64)
     word_index = np.arange(n_words, dtype=np.uint64)
     selected = (word_index >> np.uint64(index - 6)) & np.uint64(1)
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.where(selected.astype(bool), full, np.uint64(0))
-
-
-def _shard_pattern(
-    index: int, n_words: int, shard_lane_bits: int, shard_index: int
-) -> np.ndarray:
-    """Pattern of global enumeration bit ``index`` within one shard.
-
-    Bits below ``shard_lane_bits`` enumerate across the shard's lanes; bits
-    at or above it are fixed by the shard index, so the pattern is an
-    all-ones or all-zeros broadcast.
-    """
-    if index < shard_lane_bits:
-        return _enum_pattern(index, n_words)
-    if (shard_index >> (index - shard_lane_bits)) & 1:
-        return np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    return np.zeros(n_words, dtype=np.uint64)
+    return np.where(selected.astype(bool), _ALL_ONES, np.uint64(0))
 
 
 @dataclass(frozen=True)
@@ -261,6 +306,22 @@ class EnumerationSetup:
         return self.n_free_bits + self.n_secret_bits
 
 
+@dataclass
+class _ShardContext:
+    """What every shard of one probe class shares, built once per class.
+
+    ``key`` is ``(probe_class, shard_lane_bits)``; ``lane_patterns`` holds
+    the patterns of the in-lane enumeration bits ``0..lane_bits-1``, which
+    do not depend on the shard index.
+    """
+
+    key: Tuple[ProbeClass, Optional[int]]
+    setup: EnumerationSetup
+    lane_bits: int
+    simulator: object
+    lane_patterns: List[np.ndarray]
+
+
 class ExactAnalyzer:
     """Exhaustive per-secret distribution analysis of probe classes."""
 
@@ -287,6 +348,8 @@ class ExactAnalyzer:
             dut.netlist, model, max_support_bits=40
         )
         self._roles = self._build_role_map()
+        #: shard context of the last counted class (see count_shard).
+        self._context: Optional[_ShardContext] = None
 
     def _on_degrade(self, from_info, to_info, exc) -> None:
         """Record one engine degradation rung permanently (provenance)."""
@@ -400,6 +463,44 @@ class ExactAnalyzer:
             )
         return setup
 
+    def _shard_context(
+        self,
+        probe_class: ProbeClass,
+        shard_lane_bits: Optional[int],
+        setup: Optional[EnumerationSetup],
+    ) -> _ShardContext:
+        """The shard context, rebuilt only when the class or split changes."""
+        key = (probe_class, shard_lane_bits)
+        context = self._context
+        if context is not None and context.key == key:
+            return context
+        if setup is None:
+            setup = self.enumeration_setup(probe_class)
+        total_bits = setup.total_bits
+        lane_bits = (
+            total_bits
+            if shard_lane_bits is None
+            else min(shard_lane_bits, total_bits)
+        )
+        n_lanes = 1 << lane_bits
+        n_words = (n_lanes + 63) // 64
+        simulator, _ = engine_registry.build_simulator(
+            self.engine, self.dut.netlist, n_lanes,
+            record_nets=probe_class.support,
+            on_degrade=self._on_degrade,
+        )
+        context = _ShardContext(
+            key=key,
+            setup=setup,
+            lane_bits=lane_bits,
+            simulator=simulator,
+            lane_patterns=[
+                _enum_pattern(i, n_words) for i in range(lane_bits)
+            ],
+        )
+        self._context = context
+        return context
+
     def count_shard(
         self,
         probe_class: ProbeClass,
@@ -415,9 +516,15 @@ class ExactAnalyzer:
         secret rows, and the ``(len(rows), len(keys))`` count matrix.
         Counts from all shards of a class merge -- by key union and
         elementwise addition -- to exactly the single-shot histogram.
+
+        Consecutive shards of one class share its enumeration setup,
+        simulator and in-lane patterns (one cached context).  When the
+        secret rows are runs of whole words (``k >= 6``) and the key has
+        at most :data:`POPCOUNT_MAX_KEY_BITS` bits, counts are popcounts
+        of packed lane masks; otherwise per-lane keys are sorted.
         """
-        if setup is None:
-            setup = self.enumeration_setup(probe_class)
+        context = self._shard_context(probe_class, shard_lane_bits, setup)
+        setup = context.setup
         free_vars = setup.free_vars
         used_secret_bits = setup.used_secret_bits
         share_groups = setup.share_groups
@@ -426,23 +533,20 @@ class ExactAnalyzer:
         k = setup.n_free_bits
         u = setup.n_secret_bits
         total_bits = setup.total_bits
-        netlist = self.dut.netlist
+        lane_bits = context.lane_bits
 
-        lane_bits = (
-            total_bits
-            if shard_lane_bits is None
-            else min(shard_lane_bits, total_bits)
-        )
         n_lanes = 1 << lane_bits
         n_words = (n_lanes + 63) // 64
         var_index = {var: i for i, var in enumerate(free_vars)}
         secret_index = {bit: k + i for i, bit in enumerate(used_secret_bits)}
 
-        patterns = {
-            i: _shard_pattern(i, n_words, lane_bits, shard_index)
-            for i in range(total_bits)
-        }
         zeros = np.zeros(n_words, dtype=np.uint64)
+        ones = ~zeros
+        # Bits at or above lane_bits are fixed by the shard index.
+        patterns = context.lane_patterns + [
+            ones if (shard_index >> (i - lane_bits)) & 1 else zeros
+            for i in range(lane_bits, total_bits)
+        ]
 
         def secret_pattern(bit: int) -> np.ndarray:
             if bit in secret_index:
@@ -495,44 +599,56 @@ class ExactAnalyzer:
                         values[net] = patterns[var_index[var]]
                     else:
                         # Unobserved non-zero byte: any valid constant works.
-                        values[net] = (
-                            ~zeros if bit == 0 else zeros
-                        )
+                        values[net] = ones if bit == 0 else zeros
             return values
 
-        simulator, _ = engine_registry.build_simulator(
-            self.engine, netlist, n_lanes,
-            record_nets=probe_class.support,
-            on_degrade=self._on_degrade,
-        )
-        record_cycles = {
-            observe_cycle - back for back in probe_class.cycles_back
-        }
-        trace = simulator.run(
+        trace = context.simulator.run(
             stimulus,
             n_cycles,
             record_nets=probe_class.support,
-            record_cycles=record_cycles,
+            record_cycles={
+                observe_cycle - back for back in probe_class.cycles_back
+            },
         )
+        planes = [
+            trace.words(observe_cycle - back, net)
+            for back in probe_class.cycles_back
+            for net in probe_class.support
+        ]
 
-        # Validity: enumerated non-zero bytes must not be zero.
-        valid = np.ones(n_lanes, dtype=bool)
+        # Lanes to count: enumerated non-zero bytes must not be zero, and
+        # a shard narrower than one word has no lanes past n_lanes.
+        valid = ones if n_lanes >= 64 else np.full(
+            1, np.uint64((1 << n_lanes) - 1), dtype=np.uint64
+        )
         for bus_index, age in nonzero_groups:
-            any_bit = zeros.copy()
+            any_bit = zeros
             for bit in range(8):
                 any_bit = any_bit | patterns[
                     var_index[(("nonzero", bus_index, bit), age)]
                 ]
-            valid &= unpack_lanes(any_bit, n_lanes).astype(bool)
+            valid = valid & any_bit
+
+        if k >= 6 and len(planes) <= POPCOUNT_MAX_KEY_BITS:
+            # Secret row = bits k..k+u-1 of the assignment index: each
+            # row is a run of 2^(k-6) whole words (the shard may lie
+            # inside one row).
+            table = _popcount_counts(
+                planes, valid, min(n_words, 1 << (k - 6))
+            )
+            first_row = (shard_index << lane_bits) >> k
+            rows_hit = np.flatnonzero(table.sum(axis=1))
+            keys_hit = np.flatnonzero(table.sum(axis=0))
+            return (
+                keys_hit.astype(np.uint64),
+                (first_row + rows_hit).astype(np.int64),
+                table[np.ix_(rows_hit, keys_hit)],
+            )
 
         keys = np.zeros(n_lanes, dtype=np.uint64)
-        position = 0
-        for back in probe_class.cycles_back:
-            cycle = observe_cycle - back
-            for net in probe_class.support:
-                bits = unpack_lanes(trace.words(cycle, net), n_lanes)
-                keys |= bits.astype(np.uint64) << np.uint64(position)
-                position += 1
+        for position, plane in enumerate(planes):
+            bits = unpack_lanes(plane, n_lanes)
+            keys |= bits.astype(np.uint64) << np.uint64(position)
 
         # Per-lane secret row: bits k..k+u-1 of the global assignment index.
         base = shard_index << lane_bits
@@ -541,8 +657,9 @@ class ExactAnalyzer:
             (global_index >> np.uint64(k)) & np.uint64((1 << u) - 1)
         ).astype(np.int64)
 
-        keys_valid = keys[valid]
-        rows_valid = lane_rows[valid]
+        lane_valid = unpack_lanes(valid, n_lanes).astype(bool)
+        keys_valid = keys[lane_valid]
+        rows_valid = lane_rows[lane_valid]
         unique_keys, inverse = np.unique(keys_valid, return_inverse=True)
         occupied = np.unique(rows_valid)
         counts = np.zeros((occupied.size, unique_keys.size), dtype=np.int64)

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import engines
 from repro.core.kronecker import build_kronecker_delta
 from repro.core.optimizations import RandomnessScheme
+from repro.core.sbox import build_masked_sbox
 from repro.errors import CheckpointError, ExactAnalysisInfeasible
 from repro.leakage.certify import (
     MIN_SHARD_LANE_BITS,
@@ -19,7 +21,9 @@ from repro.leakage.certify import (
     ShardPlan,
     run_exact_analysis,
 )
-from repro.leakage.exact import ExactAnalyzer
+from repro.leakage.exact import POPCOUNT_MAX_KEY_BITS, ExactAnalyzer
+from repro.netlist.builder import CircuitBuilder
+from repro.netlist.simulate import unpack_lanes
 
 from tests.strategies import masked_circuits
 
@@ -229,3 +233,237 @@ class TestRandomNetlistProperties:
             if plan.n_shards > 1:
                 assert plan.lane_bits >= MIN_SHARD_LANE_BITS
                 assert plan.lanes_per_shard % 64 == 0
+
+
+# ------------------------------------------------- count_shard vs reference
+
+
+class _RecordingSimulator:
+    """Passes ``run`` through and keeps every trace it returns."""
+
+    def __init__(self, simulator, traces):
+        self._simulator = simulator
+        self._traces = traces
+
+    def run(self, *args, **kwargs):
+        trace = self._simulator.run(*args, **kwargs)
+        self._traces.append(trace)
+        return trace
+
+
+def _recording_build(traces):
+    real = engines.build_simulator
+
+    def build(*args, **kwargs):
+        simulator, info = real(*args, **kwargs)
+        return _RecordingSimulator(simulator, traces), info
+
+    return build
+
+
+def _reference_counts(setup, probe_class, trace, shard_index, lane_bits):
+    """Per-lane keys, ``np.unique`` and ``np.add.at`` on one shard's trace.
+
+    Rows and validity come from the global assignment index itself, not
+    from the analyzer's packed patterns.
+    """
+    n_lanes = 1 << lane_bits
+    observe = setup.max_age
+    keys = np.zeros(n_lanes, dtype=np.uint64)
+    position = 0
+    for back in probe_class.cycles_back:
+        for net in probe_class.support:
+            bits = unpack_lanes(trace.words(observe - back, net), n_lanes)
+            keys |= bits.astype(np.uint64) << np.uint64(position)
+            position += 1
+    index = (shard_index << lane_bits) + np.arange(n_lanes, dtype=np.int64)
+    rows = index >> setup.n_free_bits
+    valid = np.ones(n_lanes, dtype=bool)
+    for bus_index, age in setup.nonzero_groups:
+        byte = np.zeros(n_lanes, dtype=np.int64)
+        for bit in range(8):
+            var = (("nonzero", bus_index, bit), age)
+            byte |= ((index >> setup.free_vars.index(var)) & 1) << bit
+        valid &= byte != 0
+    unique_keys, inverse = np.unique(keys[valid], return_inverse=True)
+    occupied = np.unique(rows[valid])
+    counts = np.zeros((occupied.size, unique_keys.size), dtype=np.int64)
+    np.add.at(
+        counts, (np.searchsorted(occupied, rows[valid]), inverse.ravel()), 1
+    )
+    return unique_keys, occupied, counts
+
+
+def _check_shards(analyzer, probe_class, shard_lane_bits, shard_indices=None):
+    """count_shard equals the reference on every (or the given) shard."""
+    setup = analyzer.enumeration_setup(probe_class)
+    lane_bits = min(shard_lane_bits, setup.total_bits)
+    if shard_indices is None:
+        shard_indices = range(1 << (setup.total_bits - lane_bits))
+    traces = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engines, "build_simulator", _recording_build(traces))
+        for shard_index in shard_indices:
+            keys, rows, counts = analyzer.count_shard(
+                probe_class, shard_index, shard_lane_bits
+            )
+            ref_keys, ref_rows, ref_counts = _reference_counts(
+                setup, probe_class, traces[-1], shard_index, lane_bits
+            )
+            assert keys.dtype == np.uint64 and rows.dtype == np.int64
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(keys, ref_keys)
+            np.testing.assert_array_equal(rows, ref_rows)
+            np.testing.assert_array_equal(counts, ref_counts)
+    return setup
+
+
+def _find_class(analyzer, name):
+    netlist = analyzer.dut.netlist
+    return analyzer.probe_class_for_net(netlist.net(name))
+
+
+def _xor_chain(n_masks):
+    """One secret in two shares XORed with ``n_masks`` mask bits, and the
+    sum held in a register (a one-bit key over every mask)."""
+    from repro.leakage.dut import DesignUnderTest
+
+    builder = CircuitBuilder("xor_chain")
+    s0, s1 = builder.input("s0"), builder.input("s1")
+    masks = [builder.input(f"m{i}") for i in range(n_masks)]
+    chain = builder.xor(s0, s1, name="chain")
+    for index, mask in enumerate(masks):
+        chain = builder.xor(chain, mask, name=f"chain{index}")
+    builder.output(builder.reg(chain, name="held"), "out")
+    return DesignUnderTest(
+        netlist=builder.build(),
+        share_buses=[[s0], [s1]],
+        mask_bits=masks,
+        latency=0,
+        metadata={"design": "xor_chain"},
+    )
+
+
+class TestCountShardReference:
+    """count_shard against an independent per-lane counter on the same
+    trace: the packed popcount path and the sort fallback alike."""
+
+    @given(
+        dut=masked_circuits(),
+        data=st.data(),
+        shard_lane_bits=st.integers(1, 12),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_netlists_every_shard(self, dut, data, shard_lane_bits):
+        analyzer = ExactAnalyzer(dut, max_enum_bits=16)
+        probe_class = data.draw(st.sampled_from(analyzer.probe_classes))
+        _check_shards(analyzer, probe_class, shard_lane_bits)
+
+    @pytest.mark.parametrize("shard_lane_bits", range(1, 13))
+    def test_xor_chain_classes(self, shard_lane_bits):
+        """Both counting paths, on sub-word shards, single-row broadcast
+        shards and multi-row shards: a one-bit key over k=9 (popcount),
+        a 10-bit key over k=9 (sort: key too wide) and k<6 (sort)."""
+        analyzer = ExactAnalyzer(_xor_chain(8), max_enum_bits=16)
+        held = _find_class(analyzer, "held")
+        setup = _check_shards(analyzer, held, shard_lane_bits)
+        assert setup.n_free_bits >= 6 and setup.n_secret_bits == 1
+        assert held.observation_bits <= POPCOUNT_MAX_KEY_BITS
+        wide = _find_class(analyzer, "chain7")
+        setup = _check_shards(analyzer, wide, shard_lane_bits)
+        assert setup.n_free_bits >= 6
+        assert wide.observation_bits > POPCOUNT_MAX_KEY_BITS
+        narrow = _find_class(analyzer, "chain3")
+        setup = _check_shards(analyzer, narrow, shard_lane_bits)
+        assert setup.n_free_bits < 6
+
+    @pytest.mark.parametrize("shard_lane_bits", [2, 6, 7, 10, 11, 12])
+    def test_sbox_nonzero_byte_class(self, shard_lane_bits):
+        """An S-box class enumerating a non-zero mask byte (k=10, u=2):
+        the validity mask drops the lanes where the byte is zero."""
+        design = build_masked_sbox(None, include_kronecker=False)
+        analyzer = ExactAnalyzer(design.dut, max_enum_bits=16)
+        probe_class = _find_class(analyzer, "b2m.mul0.xor_1")
+        setup = analyzer.enumeration_setup(probe_class)
+        assert setup.nonzero_groups
+        assert setup.n_free_bits >= 6 and setup.n_secret_bits >= 1
+        assert probe_class.observation_bits <= POPCOUNT_MAX_KEY_BITS
+        n_shards = 1 << (setup.total_bits - min(shard_lane_bits, 12))
+        # first, last and a middle shard keep sub-word splits fast
+        picks = sorted({0, n_shards // 2 + 1, n_shards - 1} & set(
+            range(n_shards)
+        ))
+        _check_shards(analyzer, probe_class, shard_lane_bits, picks)
+
+    def test_single_shot_matches_reference(self):
+        design = build_masked_sbox(None, include_kronecker=False)
+        analyzer = ExactAnalyzer(design.dut, max_enum_bits=16)
+        probe_class = _find_class(analyzer, "b2m.mul0.xor_1")
+        traces = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engines, "build_simulator", _recording_build(traces))
+            result = analyzer.count_shard(probe_class)
+        setup = analyzer.enumeration_setup(probe_class)
+        reference = _reference_counts(
+            setup, probe_class, traces[-1], 0, setup.total_bits
+        )
+        for got, want in zip(result, reference):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestShardContextReuse:
+    """Shards of one class share one enumeration setup and simulator."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"build": 0, "setup": 0}
+        real_build = engines.build_simulator
+        real_setup = ExactAnalyzer.enumeration_setup
+
+        def build(*args, **kwargs):
+            calls["build"] += 1
+            return real_build(*args, **kwargs)
+
+        def setup(self, probe_class):
+            calls["setup"] += 1
+            return real_setup(self, probe_class)
+
+        monkeypatch.setattr(engines, "build_simulator", build)
+        monkeypatch.setattr(ExactAnalyzer, "enumeration_setup", setup)
+        return calls
+
+    def test_serial_shards_build_once(self, monkeypatch):
+        design, subset = _eq6_subset(min_bits=10, limit=3)
+        analyzer = ExactAnalyzer(design.dut, max_enum_bits=23)
+        probe_class = subset[0]
+        total_bits = analyzer.enumeration_setup(probe_class).total_bits
+        calls = self._count_calls(monkeypatch)
+        for shard_index in range(1 << (total_bits - 7)):
+            analyzer.count_shard(probe_class, shard_index, 7)
+        assert calls == {"build": 1, "setup": 1}
+        analyzer.count_shard(subset[1], 0, 7)
+        assert calls == {"build": 2, "setup": 2}
+
+    def test_sharded_sweep_builds_once_per_class(self, monkeypatch):
+        design, subset = _eq6_subset(min_bits=10, limit=3)
+        sharded = ShardedExactAnalyzer(
+            design.dut, max_enum_bits=23, shard_lane_bits=7
+        )
+        calls = self._count_calls(monkeypatch)
+        sharded.analyze(probe_classes=subset)
+        assert calls["build"] == len(subset)
+
+    def test_native_disabled_degrades_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        design, subset = _eq6_subset(min_bits=10, limit=3)
+        analyzer = ExactAnalyzer(design.dut, max_enum_bits=23, engine="native")
+        calls = self._count_calls(monkeypatch)
+        for probe_class in subset:
+            total_bits = analyzer.enumeration_setup(probe_class).total_bits
+            for shard_index in range(1 << (total_bits - 7)):
+                analyzer.count_shard(probe_class, shard_index, 7)
+        assert calls["build"] == len(subset)
+        assert analyzer.engine == "compiled"
+        assert [d["kind"] for d in analyzer.degradations] == [
+            "engine_compiled"
+        ]

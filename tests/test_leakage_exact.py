@@ -10,7 +10,8 @@ import pytest
 from repro.core.kronecker import build_kronecker_delta
 from repro.core.optimizations import RandomnessScheme
 from repro.errors import ExactAnalysisInfeasible
-from repro.leakage.exact import ExactAnalyzer, _enum_pattern
+from repro.leakage import exact
+from repro.leakage.exact import ExactAnalyzer, _enum_pattern, _popcount64
 from repro.leakage.model import ProbingModel
 from repro.netlist.simulate import unpack_lanes
 
@@ -33,6 +34,40 @@ class TestEnumPattern:
         bits = unpack_lanes(words, n_lanes)
         expected = (np.arange(n_lanes) >> index) & 1
         assert (bits == expected).all()
+
+
+class TestPopcount:
+    WORDS = {
+        "random": np.random.default_rng(7).integers(
+            0, 1 << 64, size=257, dtype=np.uint64
+        ),
+        "zeros": np.zeros(64, dtype=np.uint64),
+        "ones": np.full(64, np.uint64(0xFFFFFFFFFFFFFFFF)),
+    }
+
+    @staticmethod
+    def _reference(words):
+        return np.array([bin(int(w)).count("1") for w in words])
+
+    @pytest.mark.parametrize("name", sorted(WORDS))
+    def test_byte_table_path(self, monkeypatch, name):
+        monkeypatch.setattr(exact, "_bitwise_count", None)
+        words = self.WORDS[name]
+        counts = _popcount64(words)
+        assert counts.shape == words.shape
+        assert (counts == self._reference(words)).all()
+
+    @pytest.mark.parametrize("name", sorted(WORDS))
+    def test_default_path(self, name):
+        words = self.WORDS[name]
+        assert (_popcount64(words) == self._reference(words)).all()
+
+    def test_byte_table_path_on_2d_views(self, monkeypatch):
+        monkeypatch.setattr(exact, "_bitwise_count", None)
+        words = self.WORDS["random"][:256].reshape(4, 64)[:, ::2]
+        counts = _popcount64(words)
+        assert counts.shape == (4, 32)
+        assert (counts.ravel() == self._reference(words.ravel())).all()
 
 
 class TestPaperVerdictsExact:
