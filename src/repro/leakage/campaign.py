@@ -917,15 +917,16 @@ class EvaluationCampaign:
                 arrays = {
                     key: data[key] for key in data.files if key != "meta"
                 }
+            accumulator = HistogramAccumulator.from_state(
+                meta["table_ids"], arrays
+            )
         except CheckpointError:
             raise
-        except Exception as exc:  # zip/JSON/key errors -> corrupt file
+        except Exception as exc:  # zip/JSON/key/table errors -> corrupt file
             raise CheckpointCorrupt(
                 f"could not parse checkpoint {path!r}: {exc}"
             ) from exc
-        self.accumulator = HistogramAccumulator.from_state(
-            meta["table_ids"], arrays
-        )
+        self.accumulator = accumulator
         if self.scheduler is not None:
             if "adaptive" not in meta:
                 raise CheckpointError(

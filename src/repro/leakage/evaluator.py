@@ -170,6 +170,51 @@ def _observation_keys(
     return np.concatenate(segments)
 
 
+#: One table: ``(keys, counts)``.  ``keys is None`` marks a dense table
+#: whose column index is the observation key (zero columns allowed);
+#: otherwise ``keys`` is a sorted unique uint64 array and ``counts`` has no
+#: zero column.  Keyed arrays are never written in place, so tables may
+#: share them; a dense matrix belongs to one accumulator and grows in place.
+_Table = Tuple[Optional[np.ndarray], np.ndarray]
+
+
+def _keyed(table: _Table) -> _Table:
+    """A table's cells in keyed form (dense zero columns dropped)."""
+    keys, counts = table
+    if keys is not None:
+        return table
+    present = np.flatnonzero(counts[0] + counts[1])
+    return present.astype(np.uint64), counts.take(present, axis=1)
+
+
+def _union(a: _Table, b: _Table) -> _Table:
+    """Cell-wise sum of two keyed tables."""
+    if a[0].size < b[0].size:
+        a, b = b, a
+    at = np.searchsorted(a[0], b[0])
+    if b[0].size == 0 or (
+        at[-1] < a[0].size and (a[0][at] == b[0]).all()
+    ):
+        # Every key of b is already in a: 91% of the folds and merges of
+        # an E8 pair campaign, where skipping union1d saves 13% of the
+        # verdict time (docs/performance.md, section 9).
+        keys, counts = a[0], a[1].copy()
+    else:
+        keys = np.union1d(a[0], b[0])
+        counts = np.zeros((2, keys.size), dtype=np.int64)
+        _scatter_add(counts, np.searchsorted(keys, a[0]), a[1])
+        at = np.searchsorted(keys, b[0])
+    _scatter_add(counts, at, b[1])
+    return keys, counts
+
+
+def _scatter_add(counts: np.ndarray, at: np.ndarray, cells: np.ndarray):
+    """``counts[:, at] += cells`` for unique ``at``, one row at a time
+    (several times faster than the two-axis fancy index)."""
+    for row in range(2):
+        counts[row][at] += cells[row]
+
+
 class HistogramAccumulator:
     """Incrementally accumulated fixed/random contingency tables.
 
@@ -179,40 +224,39 @@ class HistogramAccumulator:
     every partition of the simulations into blocks yields the same tables
     -- the property that makes chunked, checkpointed campaigns bit-identical
     to single-pass evaluation (the G-test only sees the table).
+
+    Storage: a table created by :meth:`add_counts` is a dense
+    ``int64[2, L]`` matrix with one column per observation key, so a count
+    row folds in with one ``+=``.  Every other table is a sorted ``uint64``
+    key array plus an ``int64[2, n]`` count matrix, folded with
+    ``union1d``/``searchsorted``.  A dense table turns keyed when it meets
+    a key of ``_DENSE_KEY_LIMIT`` or more, or a keyed operand (an
+    :meth:`add`, or a keyed table merged in).  Both forms
+    read out the same zero-free cells, so the form never shows in
+    :meth:`counts`, :meth:`state_arrays` or a G-test.
     """
 
     GROUP_FIXED = 0
     GROUP_RANDOM = 1
 
-    def __init__(self) -> None:
-        self._tables: Dict[str, Dict[int, List[int]]] = {}
-
-    #: largest observation key handled by the dense ``bincount`` fast path
-    #: in :meth:`add` (bucketed observations are < 2^hash_bits anyway).
+    #: keys below this limit can be dense columns (bucketed observations
+    #: are < 2^hash_bits, and in-kernel count rows at most 2^16 long).
     _DENSE_KEY_LIMIT = 1 << 16
+
+    def __init__(self) -> None:
+        self._tables: Dict[str, _Table] = {}
 
     def add(self, table_id: str, keys: np.ndarray, group: int) -> None:
         """Histogram ``keys`` into one table's column for ``group``."""
-        if group not in (self.GROUP_FIXED, self.GROUP_RANDOM):
-            raise SimulationError("group must be GROUP_FIXED or GROUP_RANDOM")
         keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return
-        key_max = int(keys.max())
-        if key_max < self._DENSE_KEY_LIMIT:
-            # O(n) bincount instead of O(n log n) sort-based unique; both
-            # yield the same ascending (values, counts) pairs.
-            dense = np.bincount(keys.astype(np.int64))
-            values = np.nonzero(dense)[0].astype(np.uint64)
-            counts = dense[values.astype(np.int64)]
-        else:
+        if keys.size and int(keys.max()) >= self._DENSE_KEY_LIMIT:
             values, counts = np.unique(keys, return_counts=True)
-        table = self._tables.setdefault(table_id, {})
-        for value, count in zip(values.tolist(), counts.tolist()):
-            cell = table.get(value)
-            if cell is None:
-                table[value] = cell = [0, 0]
-            cell[group] += count
+        else:
+            # O(n) bincount instead of O(n log n) sort-based unique.
+            counts = np.bincount(keys.astype(np.int64))
+            values = counts.nonzero()[0]
+            counts = counts[values]
+        self._fold(table_id, values.astype(np.uint64), counts, group)
 
     def add_counts(
         self, table_id: str, counts: np.ndarray, group: int
@@ -224,44 +268,92 @@ class HistogramAccumulator:
         -- so in-kernel count tables and python key arrays accumulate
         interchangeably.
         """
+        row = np.asarray(counts).astype(np.int64, copy=False)
+        self._fold(table_id, None, row, group)
+
+    def _fold(
+        self,
+        table_id: str,
+        values: Optional[np.ndarray],
+        counts: np.ndarray,
+        group: int,
+    ) -> None:
+        """Fold ``counts`` at sorted unique keys ``values`` into a table.
+
+        ``values=None`` makes ``counts`` a row indexed by key, which a new
+        or dense table takes with one ``+=``.
+        """
         if group not in (self.GROUP_FIXED, self.GROUP_RANDOM):
             raise SimulationError("group must be GROUP_FIXED or GROUP_RANDOM")
-        counts = np.asarray(counts)
-        values = np.nonzero(counts)[0]
+        table = self._tables.get(table_id)
+        if values is None:
+            if counts.size <= self._DENSE_KEY_LIMIT and (
+                counts.any() if table is None else table[0] is None
+            ):
+                width = counts.size
+                self._dense_matrix(table_id, width)[group, :width] += counts
+                return
+            values = counts.nonzero()[0]
+            counts = counts[values]
+            values = values.astype(np.uint64)
         if values.size == 0:
             return
-        table = self._tables.setdefault(table_id, {})
-        for value, count in zip(
-            values.tolist(), counts[values].tolist()
-        ):
-            cell = table.get(value)
-            if cell is None:
-                table[value] = cell = [0, 0]
-            cell[group] += int(count)
+        cells = np.zeros((2, values.size), dtype=np.int64)
+        cells[group] = counts
+        self._tables[table_id] = (
+            (values, cells)
+            if table is None
+            else _union(_keyed(table), (values, cells))
+        )
+
+    def _dense_matrix(self, table_id: str, width: int) -> np.ndarray:
+        """A dense table's matrix, created or widened to ``width``."""
+        table = self._tables.get(table_id)
+        if table is not None and table[1].shape[1] >= width:
+            return table[1]
+        matrix = np.zeros((2, width), dtype=np.int64)
+        if table is not None:
+            matrix[:, : table[1].shape[1]] = table[1]
+        self._tables[table_id] = (None, matrix)
+        return matrix
 
     def merge(self, other: "HistogramAccumulator") -> None:
         """Fold another accumulator's tables into this one."""
-        for table_id, table in other._tables.items():
-            mine = self._tables.setdefault(table_id, {})
-            for value, cell in table.items():
-                acc = mine.get(value)
-                if acc is None:
-                    mine[value] = [cell[0], cell[1]]
-                else:
-                    acc[0] += cell[0]
-                    acc[1] += cell[1]
+        for table_id, (keys, counts) in other._tables.items():
+            mine = self._tables.get(table_id)
+            if mine is None:
+                self._tables[table_id] = (
+                    (None, counts.copy()) if keys is None else (keys, counts)
+                )
+            elif keys is None and mine[0] is None:
+                width = counts.shape[1]
+                self._dense_matrix(table_id, width)[:, :width] += counts
+            else:
+                self._tables[table_id] = _union(
+                    _keyed(mine), _keyed((keys, counts))
+                )
 
     def table_ids(self) -> List[str]:
         """All table ids seen so far, sorted."""
         return sorted(self._tables)
 
+    def _cells(self, table_id: str) -> _Table:
+        """Fresh zero-free ``(keys, int64[2, n])`` of one table."""
+        table = self._tables.get(table_id)
+        if table is None:
+            return np.empty(0, np.uint64), np.empty((2, 0), np.int64)
+        if table[0] is None:
+            return _keyed(table)
+        return table[0].copy(), table[1].copy()
+
     def counts(self, table_id: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, fixed_counts, random_counts)`` sorted by observation key."""
-        table = self._tables.get(table_id, {})
-        keys = sorted(table)
-        fixed = np.array([table[k][0] for k in keys], dtype=np.float64)
-        random_ = np.array([table[k][1] for k in keys], dtype=np.float64)
-        return np.array(keys, dtype=np.uint64), fixed, random_
+        keys, counts = self._cells(table_id)
+        return (
+            keys,
+            counts[0].astype(np.float64),
+            counts[1].astype(np.float64),
+        )
 
     def test(self, table_id: str, min_expected: float = 5.0) -> GTestResult:
         """G-test of one accumulated table."""
@@ -271,32 +363,44 @@ class HistogramAccumulator:
     # -------------------------------------------------------- serialization
 
     def state_arrays(self) -> Tuple[List[str], Dict[str, np.ndarray]]:
-        """Table ids plus numpy arrays for NPZ checkpointing."""
+        """Table ids plus numpy arrays for NPZ checkpointing.
+
+        Table ``i`` of the sorted ids is stored as ``t{i}_keys`` (sorted
+        ``uint64``) and ``t{i}_counts`` (``int64[2, n]``, fixed row then
+        random row), with no zero cell.
+        """
         ids = self.table_ids()
         arrays: Dict[str, np.ndarray] = {}
         for i, table_id in enumerate(ids):
-            keys, fixed, random_ = self.counts(table_id)
+            keys, counts = self._cells(table_id)
             arrays[f"t{i}_keys"] = keys
-            arrays[f"t{i}_counts"] = np.stack(
-                [fixed.astype(np.int64), random_.astype(np.int64)]
-            )
+            arrays[f"t{i}_counts"] = counts
         return ids, arrays
 
     @classmethod
     def from_state(
         cls, ids: Sequence[str], arrays: Dict[str, np.ndarray]
     ) -> "HistogramAccumulator":
-        """Rebuild an accumulator from :meth:`state_arrays` output."""
+        """Rebuild an accumulator from :meth:`state_arrays` output.
+
+        Raises :class:`SimulationError` when a table's keys are not
+        strictly increasing or its counts are not ``(2, n)``: the keyed
+        folds rely on both.
+        """
         acc = cls()
         for i, table_id in enumerate(ids):
-            keys = arrays[f"t{i}_keys"]
-            counts = arrays[f"t{i}_counts"]
-            acc._tables[table_id] = {
-                int(k): [int(f), int(r)]
-                for k, f, r in zip(
-                    keys.tolist(), counts[0].tolist(), counts[1].tolist()
+            keys = np.asarray(arrays[f"t{i}_keys"], dtype=np.uint64)
+            counts = np.asarray(arrays[f"t{i}_counts"], dtype=np.int64)
+            if keys.ndim != 1 or counts.shape != (2, keys.size):
+                raise SimulationError(
+                    f"table {table_id!r}: keys {keys.shape} and counts "
+                    f"{counts.shape} are not (n,) and (2, n)"
                 )
-            }
+            if not np.all(keys[1:] > keys[:-1]):
+                raise SimulationError(
+                    f"table {table_id!r}: keys are not strictly increasing"
+                )
+            acc._tables[table_id] = (keys, counts)
         return acc
 
 

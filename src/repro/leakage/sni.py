@@ -118,6 +118,24 @@ class PiniResult:
         )
 
 
+def _dependence(digest: np.ndarray) -> int:
+    """Mask of the assignment bits a digest depends on.
+
+    Bit ``b`` is set iff flipping bit ``b`` of the share assignment index
+    changes some digest entry (one comparison of the two halves per bit).
+    The digest depends only on a share subset ``S`` -- is simulatable from
+    ``S`` -- iff ``dependence & ~S == 0``: invariance under each
+    non-selected bit alone gives invariance under any combination of them,
+    i.e. ``digest[i] == digest[i & S]`` for every ``i``.
+    """
+    mask = 0
+    for bit in range(digest.size.bit_length() - 1):
+        halves = digest.reshape(-1, 2, 1 << bit)
+        if not np.array_equal(halves[:, 0], halves[:, 1]):
+            mask |= 1 << bit
+    return mask
+
+
 class SniChecker:
     """Exhaustive (S)NI verification, bitsliced over all assignments.
 
@@ -240,17 +258,7 @@ class SniChecker:
             digest = digest * multiplier + (row ^ np.uint64(0x9E3779B9))
         return digest
 
-    def _simulatable_from(
-        self, digest: np.ndarray, selected_bits: int
-    ) -> bool:
-        """Does the digest depend only on the selected share bits?"""
-        indices = np.arange(digest.size, dtype=np.uint64)
-        projected = indices & np.uint64(selected_bits)
-        return bool(np.all(digest == digest[projected.astype(np.int64)]))
-
-    def _exists_simulator(
-        self, digest: np.ndarray, max_shares: int
-    ) -> bool:
+    def _exists_simulator(self, dependence: int, max_shares: int) -> bool:
         positions = self._share_positions()
         n_shares = self.gadget.n_shares
         per_input_subsets = []
@@ -267,7 +275,7 @@ class SniChecker:
             mask = 0
             for bits in selection:
                 mask |= bits
-            if self._simulatable_from(digest, mask):
+            if dependence & ~mask == 0:
                 return True
         return False
 
@@ -294,8 +302,8 @@ class SniChecker:
                 names = tuple(
                     netlist.net_name(p) for p in probes
                 )
-                digest = self._digest(probes)
-                if not self._exists_simulator(digest, max_shares=size):
+                dependence = _dependence(self._digest(probes))
+                if not self._exists_simulator(dependence, max_shares=size):
                     result.is_ni = False
                     result.ni_violations.append(
                         SniViolation(names, f"more than {size} shares")
@@ -304,7 +312,9 @@ class SniChecker:
                     result.sni_violations.append(
                         SniViolation(names, f"more than {t_int} shares (SNI)")
                     )
-                elif not self._exists_simulator(digest, max_shares=t_int):
+                elif not self._exists_simulator(
+                    dependence, max_shares=t_int
+                ):
                     result.is_sni = False
                     result.sni_violations.append(
                         SniViolation(names, f"more than {t_int} shares (SNI)")
@@ -345,7 +355,7 @@ class SniChecker:
                     output_domain[p] for p in probes if p in output_domain
                 }
                 t_int = sum(1 for p in probes if p not in output_domain)
-                digest = self._digest(probes)
+                dependence = _dependence(self._digest(probes))
                 simulatable = False
                 for extra in range(min(t_int, n_shares) + 1):
                     for combo in itertools.combinations(
@@ -354,7 +364,7 @@ class SniChecker:
                         selected = self._domain_mask(
                             sorted(out_domains | set(combo))
                         )
-                        if self._simulatable_from(digest, selected):
+                        if dependence & ~selected == 0:
                             simulatable = True
                             break
                     if simulatable:

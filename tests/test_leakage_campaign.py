@@ -1,5 +1,7 @@
 """Tests for chunked, checkpointable evaluation campaigns."""
 
+import io
+import json
 import os
 import subprocess
 import sys
@@ -10,12 +12,15 @@ import pytest
 
 from repro.errors import BudgetExceeded, CheckpointError, SimulationError
 from repro.leakage.campaign import (
+    CHECKPOINT_VERSION,
     CampaignConfig,
     EvaluationCampaign,
+    pack_checkpoint,
     run_campaign,
 )
 from repro.leakage.evaluator import HistogramAccumulator, LeakageEvaluator
 from repro.leakage.model import ProbingModel
+from tests.test_leakage_evaluator import DictAccumulator
 
 N_SIMS = 20_000
 
@@ -86,6 +91,26 @@ class TestChunkedIdentity:
         assert report.passed
 
 
+def _write_v1_checkpoint(path, campaign, next_block, ids, arrays):
+    """Write a v1 checkpoint by hand: ``meta`` plus ``t{i}_keys`` /
+    ``t{i}_counts`` per sorted table id, in the integrity envelope."""
+    meta = {
+        "version": 1,
+        "fingerprint": campaign.fingerprint(),
+        "next_block": next_block,
+        "blocks_total": campaign._blocks_total(),
+        "table_ids": ids,
+    }
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        **arrays,
+    )
+    with open(path, "wb") as handle:
+        handle.write(pack_checkpoint(buffer.getvalue()))
+
+
 class TestCheckpointResume:
     def _partial_checkpoint(self, design, path, blocks):
         """Run only the first ``blocks`` blocks and checkpoint there."""
@@ -115,6 +140,77 @@ class TestCheckpointResume:
         report = resumed.run(resume=True)
         assert resumed.progress.resumed_from_block == 2
         assert report.status == "complete"
+        single = _evaluator(kronecker_eq6).evaluate(n_simulations=N_SIMS)
+        _assert_identical(single, report)
+
+    @pytest.mark.parametrize("engine", ["compiled", "native"])
+    def test_resumes_from_hand_built_v1_checkpoint(
+        self, kronecker_eq6, tmp_path, engine
+    ):
+        """Pin the v1 checkpoint layout: ``meta`` plus, per sorted table
+        id ``i``, ``t{i}_keys`` (sorted uint64) and ``t{i}_counts``
+        (int64, fixed row then random row).  A file written by hand in
+        that layout, from per-key dict tables, resumes to the report bytes
+        of an uninterrupted run."""
+        assert CHECKPOINT_VERSION == 1
+        path = str(tmp_path / "ck.npz")
+        blocks = 2
+        evaluator = LeakageEvaluator(
+            kronecker_eq6.dut, ProbingModel.GLITCH, seed=7, engine=engine
+        )
+        tables = DictAccumulator()
+        evaluator.accumulate(
+            tables, 0, evaluator.n_lanes_for(N_SIMS, 1), 1,
+            blocks=range(blocks),
+        )
+        ids, arrays = tables.state_arrays()
+        assert ids
+
+        def campaign(checkpoint=None):
+            return EvaluationCampaign(
+                LeakageEvaluator(
+                    kronecker_eq6.dut, ProbingModel.GLITCH, seed=7,
+                    engine=engine,
+                ),
+                CampaignConfig(
+                    n_simulations=N_SIMS, chunk_size=4_096,
+                    checkpoint=checkpoint,
+                ),
+            )
+
+        resumed = campaign(path)
+        _write_v1_checkpoint(path, resumed, blocks, ids, arrays)
+        report = resumed.run(resume=True)
+        assert resumed.progress.resumed_from_block == blocks
+        assert report.to_json() == campaign().run().to_json()
+
+    def test_checkpoint_with_unsorted_table_is_quarantined(
+        self, kronecker_eq6, tmp_path
+    ):
+        """A well-formed file whose table keys are out of order is corrupt
+        (the keyed folds would miscount it): quarantined, restarted from
+        block 0, and the report is that of an uninterrupted run."""
+        path = str(tmp_path / "ck.npz")
+        evaluator = _evaluator(kronecker_eq6)
+        acc = HistogramAccumulator()
+        evaluator.accumulate(
+            acc, 0, evaluator.n_lanes_for(N_SIMS, 1), 1, blocks=range(1)
+        )
+        ids, arrays = acc.state_arrays()
+        assert arrays["t0_keys"].size > 1
+        arrays["t0_keys"] = arrays["t0_keys"][::-1].copy()
+        arrays["t0_counts"] = arrays["t0_counts"][:, ::-1].copy()
+        events = []
+        resumed = EvaluationCampaign(
+            _evaluator(kronecker_eq6),
+            CampaignConfig(n_simulations=N_SIMS, checkpoint=path),
+            hook=lambda event, payload: events.append(event),
+        )
+        _write_v1_checkpoint(path, resumed, 1, ids, arrays)
+        report = resumed.run(resume=True)
+        assert resumed.progress.resumed_from_block == 0
+        assert "checkpoint_corrupt" in events
+        assert os.path.exists(path + ".corrupt")
         single = _evaluator(kronecker_eq6).evaluate(n_simulations=N_SIMS)
         _assert_identical(single, report)
 

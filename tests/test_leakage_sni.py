@@ -1,11 +1,13 @@
 """Tests for the (S)NI gadget checker."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MaskingError
 from repro.leakage.sni import (
     GadgetSpec,
     SniChecker,
+    _dependence,
     dom_and_gadget,
     unprotected_and_gadget,
 )
@@ -178,3 +180,33 @@ class TestLimits:
         )
         with pytest.raises(MaskingError):
             SniChecker(gadget)
+
+
+class TestDependenceMask:
+    """``dependence & ~S == 0`` against the index projection it replaces."""
+
+    @staticmethod
+    def _projection_simulatable(digest, selected_bits):
+        indices = np.arange(digest.size, dtype=np.uint64)
+        projected = indices & np.uint64(selected_bits)
+        return bool(np.all(digest == digest[projected.astype(np.int64)]))
+
+    @pytest.mark.parametrize("n_bits", [0, 1, 3, 6])
+    def test_matches_projection_on_every_subset(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        size = 1 << n_bits
+        indices = np.arange(size)
+        digests = [np.zeros(size, dtype=np.uint64)]
+        for _ in range(30):
+            # A random function of a random bit subset, with few values so
+            # that some bits of the subset do not matter after all.
+            support = int(rng.integers(0, size))
+            values = rng.integers(0, 3, size=size).astype(np.uint64)
+            digests.append(values[indices & support])
+            digests.append(rng.integers(0, 2, size=size).astype(np.uint64))
+        for digest in digests:
+            dependence = _dependence(digest)
+            for selected in range(size):
+                assert (dependence & ~selected == 0) == (
+                    self._projection_simulatable(digest, selected)
+                )
